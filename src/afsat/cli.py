@@ -148,25 +148,28 @@ def cmd_enumerate(args):
         payload["stats"]["wall_time_s"] = round(result.stats["wall_time_s"], 6)
 
     queries = {}
-    if args.query_credulous or args.query_skeptical:
-        from .enumeration import credulous_accept, skeptical_accept
+    if args.query_credulous:
+        from .enumeration import credulous_accept
+        from .solver import BudgetExhausted
 
-        if args.query_credulous:
-            queries["credulous"] = {
-                name: credulous_accept(af, af.index(name), encoding,
-                                       _session_factory(args))
-                for name in args.query_credulous}
-        if args.query_skeptical:
-            ext_sets = [set(s) for s in result.extensions]
-            if result.complete:
-                queries["skeptical"] = {
-                    name: all(af.index(name) in s for s in ext_sets)
-                    for name in args.query_skeptical}
-            else:
-                queries["skeptical"] = {
-                    name: skeptical_accept(af, af.index(name), encoding,
-                                           _session_factory(args))
-                    for name in args.query_skeptical}
+        credulous = queries["credulous"] = {}
+        for name in args.query_credulous:
+            try:
+                credulous[name] = credulous_accept(
+                    af, af.index(name), encoding, _session_factory(args))
+            except BudgetExhausted:
+                credulous[name] = None
+                exit_code = EXIT_BUDGET
+    if args.query_skeptical:
+        # a partial run proves only rejections: an argument missing from a
+        # proven preferred extension is not skeptically accepted, and
+        # anything else is unknown (null)
+        skeptical = queries["skeptical"] = {}
+        for name in args.query_skeptical:
+            index = af.index(name)
+            accepted = all(index in s for s in result.extensions)
+            skeptical[name] = (None if accepted and not result.complete
+                               else accepted)
     if queries:
         payload["queries"] = queries
 

@@ -1,14 +1,17 @@
 """Preferred- and complete-extension enumeration through a SAT solver.
 
-Preferred extensions are found by maximizing complete extensions: an outer
-loop asks for any not-yet-covered non-empty complete extension, and an
-inner loop (run on a cloned session, so the growth constraints stay local)
-repeatedly forces a strict in-set superset until the solver reports none
-exists; the last in-set found is subset-maximal, hence preferred. The outer
-session then receives a clause requiring some argument outside that
-extension, which excludes exactly its subsets from later rounds. When the
-very first query of a round is unsatisfiable the enumeration is finished;
-if nothing was ever found, the unique preferred extension is the empty set.
+Preferred extensions are found by maximizing complete extensions on one
+long-lived session. Each round first asks, without assumptions, for any
+not-yet-covered non-empty complete extension S. It then adds the clause
+"some argument outside S is in" and asks again under the assumptions "every
+member of S is in", which forces a strict in-set superset; this repeats
+until the solver reports none exists, and the last in-set found is
+subset-maximal, hence preferred. The growth clauses are added permanently:
+each excludes only subsets of the current S, which are subsets of the
+round's final extension, and the last one is exactly the clause that
+excludes that extension and all its subsets from later rounds. When the
+first query of a round is unsatisfiable the enumeration is finished; if
+nothing was ever found, the unique preferred extension is the empty set.
 
 The inner loop is correct for any model the solver happens to return, so
 any session backend (built-in, external, perturbed seeds) can drive it.
@@ -69,7 +72,7 @@ def enumerate_preferred(af, encoding=EncodingId.C2, session_factory=None):
     factory = session_factory or _default_factory
     layout = VarLayout(af.k)
     all_args = frozenset(range(1, af.k + 1))
-    outer = factory(encode(af, encoding, nonempty=True))
+    session = factory(encode(af, encoding, nonempty=True))
     found = []
     sat_calls = 0
     inner_iterations = 0
@@ -77,7 +80,8 @@ def enumerate_preferred(af, encoding=EncodingId.C2, session_factory=None):
     t0 = time.perf_counter()
 
     def result(complete=True):
-        extensions = found if found else [frozenset()]
+        # the empty set is preferred only when a finished run found nothing
+        extensions = found if found or not complete else [frozenset()]
         stats = {"sat_calls": sat_calls,
                  "inner_iterations": inner_iterations,
                  "outer_iterations": outer_iterations,
@@ -89,30 +93,26 @@ def enumerate_preferred(af, encoding=EncodingId.C2, session_factory=None):
     try:
         while True:
             outer_iterations += 1
-            inner = outer.clone()
+            assumptions = ()
             candidate = None
             while True:
                 inner_iterations += 1
                 sat_calls += 1
-                model = inner.solve()
+                model = session.solve(assumptions)
                 if model is None:
                     break
                 candidate = model_in_args(layout, model)
+                # grow: require one more argument; when the candidate covers
+                # everything the clause is empty and correctly makes the
+                # session permanently unsatisfiable
+                session.add_clause([layout.in_var(a)
+                                    for a in sorted(all_args - candidate)])
                 if candidate == all_args:
                     break
-                # grow: freeze the current members, require one more
-                for a in sorted(candidate):
-                    inner.add_clause([layout.in_var(a)])
-                inner.add_clause([layout.in_var(a)
-                                  for a in sorted(all_args - candidate)])
+                assumptions = [layout.in_var(a) for a in sorted(candidate)]
             if candidate is None:
                 break
             found.append(candidate)
-            # exclude this extension and all its subsets from later rounds;
-            # an empty clause here (candidate covers everything) correctly
-            # makes the outer session permanently unsatisfiable
-            outer.add_clause([layout.in_var(a)
-                              for a in sorted(all_args - candidate)])
     except BudgetExhausted:
         raise EnumerationIncomplete(result(complete=False)) from None
     return result()

@@ -11,8 +11,9 @@ error. A wall-clock timeout (or an UNKNOWN verdict) surfaces as the same
 budget outcome the built-in solver uses, never as unsatisfiable.
 
 ``ExternalSession`` wraps the one-shot bridge in the session interface the
-enumeration code expects (add_clause / solve / clone) by keeping the clause
-list and re-emitting the whole accumulated formula on every call.
+enumeration code expects (``add_clause`` / ``solve(assumptions=())``) by
+keeping the clause list and re-emitting the whole accumulated formula on
+every call, with that call's assumptions added as unit clauses.
 """
 
 import os
@@ -142,21 +143,15 @@ class ExternalSession:
             return  # tautology
         self._clauses.append(sorted(set(lits), key=abs))
 
-    def solve(self):
+    def solve(self, assumptions=()):
+        """Model of the accumulated clauses plus the assumptions as units,
+        or None. The assumptions belong to this call only."""
         if self._unsat:
             return None
         self.stats["calls"] += 1
-        formula = CnfFormula(self.num_vars, self._clauses)
+        formula = CnfFormula(self.num_vars,
+                             self._clauses + [[lit] for lit in assumptions])
         return solve_external(self._config, formula)
-
-    def clone(self):
-        s = ExternalSession.__new__(ExternalSession)
-        s._config = self._config
-        s.num_vars = self.num_vars
-        s._clauses = [list(c) for c in self._clauses]
-        s._unsat = self._unsat
-        s.stats = {"calls": 0}
-        return s
 
 
 def external_session_factory(command, budget_s=None, workdir=None):

@@ -8,9 +8,10 @@ a nonzero seed perturbs the initial activities and phases for variance
 experiments.
 
 Sessions are incremental in one direction only: clauses can be added
-between ``solve()`` calls, never removed. ``clone()`` produces an
-independent session with the same logical content, which is how callers
-explore restricted subproblems without disturbing the parent session.
+between ``solve()`` calls, never removed. Restricted subproblems are solved
+under assumptions (MiniSat-style, Eén & Sörensson 2003): ``solve(lits)``
+decides the given literals first and holds only for that call, while
+every learned clause stays, since it follows from the clauses alone.
 """
 
 import random
@@ -22,7 +23,8 @@ class BudgetExhausted(RuntimeError):
 
 
 class ConflictBudget:
-    """Pool of conflicts that a session and all its clones may spend."""
+    """Pool of conflicts shared by every solve() call of the sessions that
+    hold it."""
 
     __slots__ = ("limit", "used")
 
@@ -79,9 +81,22 @@ class Solver:
 
     @classmethod
     def from_formula(cls, formula, seed=0, budget=None):
+        """Session over a CnfFormula.
+
+        The formula's clauses are already range-checked, free of duplicate
+        literals and tautologies, and non-empty, so they skip add_clause.
+        Units are enqueued and longer clauses attached as they are; nothing
+        has propagated yet, so the first propagation sees every clause,
+        including those whose watched literals the units falsify.
+        """
         s = cls(formula.num_vars, seed=seed, budget=budget)
         for clause in formula.clauses:
-            s.add_clause(clause)
+            if len(clause) == 1:
+                if not s._enqueue(clause[0], None):
+                    s._unsat = True
+                    break
+            else:
+                s._attach(list(clause))
         return s
 
     # ------------------------------------------------------------------
@@ -316,18 +331,27 @@ class Solver:
                 return
         raise AssertionError("decide called with a full assignment")
 
-    def solve(self):
-        """Search for a model of everything added so far.
+    def solve(self, assumptions=()):
+        """Search for a model of everything added so far, under assumptions.
 
-        Returns a list indexed by variable (entry 0 unused, True/False per
-        variable) or None when unsatisfiable. Raises BudgetExhausted when
-        the shared conflict budget runs out; the outcome is then unknown and
-        the session stays usable.
+        ``assumptions`` are literals that must hold in the model; they are
+        decided first, one decision level each, and are forgotten when the
+        call returns. Returns a list indexed by variable (entry 0 unused,
+        True/False per variable) or None when unsatisfiable under the
+        assumptions. Only unsatisfiability without assumptions is
+        permanent. Raises BudgetExhausted when the shared conflict budget
+        runs out; the outcome is then unknown and the session stays usable.
         """
         if self._unsat:
             return None
-        self._backtrack(0)
         n = self._n
+        for lit in assumptions:
+            if lit == 0 or abs(lit) > n:
+                raise ValueError(f"literal out of range: {lit}")
+        self._backtrack(0)
+        val = self._val
+        trail_lim = self._trail_lim
+        num_assumptions = len(assumptions)
         restart_limit = self.RESTART_FIRST
         since_restart = 0
         while True:
@@ -340,7 +364,7 @@ class Solver:
                     except BudgetExhausted:
                         self._backtrack(0)
                         raise
-                if not self._trail_lim:
+                if not trail_lim:
                     self._unsat = True
                     return None
                 learnt, bt = self._analyze(confl)
@@ -361,6 +385,19 @@ class Solver:
                     self.stats["restarts"] += 1
                     self._backtrack(0)
                     continue
+                if len(trail_lim) < num_assumptions:
+                    lit = assumptions[len(trail_lim)]
+                    cur = val[lit + n]
+                    if cur is False:
+                        # the clauses imply the negation of an assumption
+                        self._backtrack(0)
+                        return None
+                    # an assumption already true gets an empty level, so
+                    # that level i always belongs to assumption i
+                    trail_lim.append(len(self._trail))
+                    if cur is None:
+                        self._assign(lit, None)
+                    continue
                 if len(self._trail) == n:
                     model = [False] * (n + 1)
                     for lit in self._trail:
@@ -370,34 +407,12 @@ class Solver:
                     return model
                 self._decide()
 
-    def clone(self):
-        """Independent session with the same logical content.
-
-        Learned clauses, activities and saved phases carry over; statistics
-        start fresh; a conflict budget object is shared with the clone.
-        """
-        s = Solver(self.num_vars, seed=0, budget=self._budget)
-        s._activity = list(self._activity)
-        s._phase = list(self._phase)
-        s._var_inc = self._var_inc
-        s._heap = [(-s._activity[v], v) for v in range(1, self._n + 1)]
-        heapify(s._heap)
-        if self._unsat:
-            s._unsat = True
-            return s
-        limit = self._trail_lim[0] if self._trail_lim else len(self._trail)
-        for lit in self._trail[:limit]:
-            s.add_clause([lit])
-        for clause in self._clauses:
-            s.add_clause(clause)
-        return s
-
 
 def builtin_session_factory(seed=0, conflict_budget=None):
     """Session factory for enumeration runs.
 
-    All sessions produced by one factory (the base session and everything
-    cloned from it) draw on a single conflict budget pool when one is set.
+    Every session produced by one factory, across all of its solve()
+    calls, draws on a single conflict budget pool when one is set.
     """
     budget = ConflictBudget(conflict_budget) if conflict_budget else None
 

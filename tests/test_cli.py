@@ -29,7 +29,8 @@ from afsat import __version__
 from afsat.cli import main
 from afsat.cnf import parse_dimacs
 from afsat.generators import METHOD_PROBABILITY, build_suite, generate
-from afsat.fileformats import serialize_apx
+from afsat.fileformats import parse, serialize_apx
+from afsat.oracle import oracle_preferred
 
 MUTUAL_APX = "arg(a).\narg(b).\natt(a,b).\natt(b,a).\n"
 MUTUAL_TGF = "a\nb\n#\na b\nb a\n"
@@ -72,6 +73,21 @@ def af_file(tmp_path, text, name="af.apx"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def rings_apx(*rings):
+    """APX text of disjoint attack cycles, one per string of names."""
+    lines = [f"arg({x})." for ring in rings for x in ring]
+    for ring in rings:
+        lines.extend(f"att({x},{y})." for x, y in zip(ring, ring[1:] + ring[0]))
+    return "\n".join(lines) + "\n"
+
+
+def assert_proven(af, extensions):
+    """Every reported extension (as name lists) is a preferred one."""
+    preferred = oracle_preferred(af)
+    for names in extensions:
+        assert frozenset(af.index(n) for n in names) in preferred, names
 
 
 def model_lits(out):
@@ -266,18 +282,54 @@ class TestEnumerate:
 
     def test_budget_exhaustion_exit_code(self, capsys, tmp_path):
         # two disjoint 4-cycles need more than one conflict to enumerate
-        lines = []
-        for ring in ("abcd", "efgh"):
-            lines.extend(f"arg({x})." for x in ring)
-        for ring in ("abcd", "efgh"):
-            for x, y in zip(ring, ring[1:] + ring[0]):
-                lines.append(f"att({x},{y}).")
-        path = af_file(tmp_path, "\n".join(lines) + "\n")
+        text = rings_apx("abcd", "efgh")
+        path = af_file(tmp_path, text)
         code, out, _ = run_cli(
             capsys, ["enumerate", path, "--conflict-budget", "1"])
         assert code == 3
         payload = json.loads(out)
         assert payload["complete"] is False
+        assert_proven(parse(text), payload["extensions"])
+
+    def test_queries_on_partial_run(self, capsys, tmp_path):
+        text = rings_apx("abcd", "efgh", "xyz")
+        af = parse(text)
+        path = af_file(tmp_path, text)
+        queries = [flag for name in af.arguments
+                   for flag in ("--query-skeptical", name)]
+        # the smallest budget that proves some extensions but not all
+        for budget in range(1, 100):
+            code, out, _ = run_cli(capsys, [
+                "enumerate", path, "--conflict-budget", str(budget),
+                "--query-credulous", "a"] + queries)
+            payload = json.loads(out)
+            if payload["extensions"] or payload["complete"]:
+                break
+        assert code == 3
+        assert payload["complete"] is False
+        proven = payload["extensions"]
+        assert_proven(af, proven)
+        # an argument missing from a proven extension is rejected; one in
+        # every proven extension is unknown, not accepted
+        skeptical = payload["queries"]["skeptical"]
+        assert skeptical == {
+            name: False if any(name not in e for e in proven) else None
+            for name in af.arguments}
+        assert set(skeptical.values()) == {False, None}
+        assert payload["queries"]["credulous"] == {"a": True}
+
+    def test_credulous_query_out_of_budget(self, capsys, tmp_path):
+        # x4 is in no complete extension, but proving it takes more than
+        # one conflict
+        path = af_file(tmp_path, "arg(x1).\narg(x2).\narg(x3).\narg(x4).\n"
+                       "att(x1,x1).\natt(x1,x2).\natt(x2,x4).\natt(x3,x1).\n"
+                       "att(x3,x2).\natt(x3,x3).\n")
+        code, out, _ = run_cli(capsys, [
+            "enumerate", path, "--conflict-budget", "1",
+            "--query-credulous", "x4", "--query-credulous", "x2"])
+        assert code == 3
+        assert json.loads(out)["queries"]["credulous"] == {"x4": None,
+                                                           "x2": False}
 
     def test_external_solver(self, capsys, tmp_path):
         wrapper = tmp_path / "refdpll"

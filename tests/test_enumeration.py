@@ -1,8 +1,11 @@
 """SAT-based enumeration against the exhaustive oracle."""
 
+import random
+
 import pytest
 
 from afsat.cnf import ENCODINGS, EncodingId
+from afsat.core import ArgumentationFramework
 from afsat.enumeration import (
     EnumerationIncomplete,
     credulous_accept,
@@ -21,6 +24,7 @@ from conftest import (
     NO_ATTACKS3,
     SELF1,
     make_af,
+    random_af,
     random_battery,
 )
 
@@ -94,6 +98,46 @@ class TestOracleEquivalence:
             assert set(enumerate_complete(af).extensions) == oracle_complete(af)
 
 
+class TestDisjointUnions:
+    """A disjoint union's preferred (complete) extensions are the unions of
+    one preferred (complete) extension per component, which is the shape of
+    frameworks with many extensions."""
+
+    @staticmethod
+    def union(components):
+        names, attacks, offset = [], [], 0
+        for af in components:
+            names.extend(f"c{offset + i}" for i in range(1, af.k + 1))
+            attacks.extend((offset + i, offset + j) for i, j in af.attacks)
+            offset += af.k
+        return ArgumentationFramework(names, attacks)
+
+    @staticmethod
+    def product(components, oracle):
+        out, offset = {frozenset()}, 0
+        for af in components:
+            out = {s | {offset + i for i in t}
+                   for s in out for t in oracle(af)}
+            offset += af.k
+        return out
+
+    def test_product_of_component_answers(self):
+        rng = random.Random(4242)
+        for _ in range(12):
+            components = [random_af(rng, max_k=3)
+                          for _ in range(rng.randint(2, 4))]
+            af = self.union(components)
+            preferred = self.product(components, oracle_preferred)
+            complete = self.product(components, oracle_complete)
+            for enc in ENCODINGS:
+                got = enumerate_preferred(af, encoding=enc)
+                assert set(got.extensions) == preferred, (af, enc)
+                assert len(got.extensions) == len(preferred)
+                got = enumerate_complete(af, encoding=enc)
+                assert set(got.extensions) == complete, (af, enc)
+                assert len(got.extensions) == len(complete)
+
+
 class TestModelOrderRobustness:
     def test_any_seed_same_extensions(self):
         """The growth loop is correct whatever model the solver returns, so
@@ -144,15 +188,27 @@ class TestDeterminism:
 
 class TestBudget:
     def test_partial_result_surfaces(self):
-        # two disjoint 4-cycles: enumeration needs a few dozen conflicts
+        # two disjoint 4-cycles: enumeration needs a few conflicts, so the
+        # smallest budgets stop it after zero, one, two, ... extensions
         af = make_af("abcdefgh", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
                                   ("e", "f"), ("f", "g"), ("g", "h"), ("h", "e")])
-        with pytest.raises(EnumerationIncomplete) as info:
-            enumerate_preferred(
-                af, session_factory=builtin_session_factory(conflict_budget=1))
-        partial = info.value.partial
-        assert not partial.complete
-        assert partial.stats["sat_calls"] >= 1
+        preferred = oracle_preferred(af)
+        sizes = set()
+        for budget in range(1, 100):
+            try:
+                enumerate_preferred(
+                    af, session_factory=builtin_session_factory(
+                        conflict_budget=budget))
+            except EnumerationIncomplete as exc:
+                partial = exc.partial
+            else:
+                break
+            assert not partial.complete
+            assert partial.stats["sat_calls"] >= 1
+            # never the empty fallback: every reported extension is proven
+            assert set(partial.extensions) <= preferred, budget
+            sizes.add(len(partial.extensions))
+        assert 0 in sizes and len(sizes) > 1
 
     def test_budget_large_enough_finishes(self):
         result = enumerate_preferred(

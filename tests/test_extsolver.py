@@ -132,20 +132,22 @@ class TestExternalSession:
         assert seen == set(tt_models(2, [[1, 2]]))
         assert session.stats["calls"] == 4
 
-    def test_clone_isolation(self):
+    def test_assumptions_hold_for_one_call(self):
         make = external_session_factory([sys.executable, REFDPLL])
-        session = make(CnfFormula(1, [[1]]))
-        twin = session.clone()
-        twin.add_clause([-1])
-        assert twin.solve() is None
+        session = make(CnfFormula(2, [[1, 2]]))
+        assert session.solve([-1]) == [False, False, True]
+        # a kept -1 would make this call unsatisfiable
+        assert session.solve([-2]) == [False, True, False]
+        assert session.solve([-1, -2]) is None
         assert session.solve() is not None
+        assert session.stats["calls"] == 4
 
     def test_empty_clause_permanent(self):
         make = external_session_factory([sys.executable, REFDPLL])
         session = make(CnfFormula(1, [[1]]))
         session.add_clause([])
         assert session.solve() is None
-        assert session.clone().solve() is None
+        assert session.solve([1]) is None
 
     def test_tautology_skipped(self):
         make = external_session_factory([sys.executable, REFDPLL])

@@ -23,6 +23,20 @@ def pigeonhole(holes):
     return pigeons * holes, clauses
 
 
+def gated_pigeonhole(holes, blocks):
+    """One pigeonhole block per gate variable: gate i (variable i) switches
+    block i on, so solve([i]) is unsatisfiable and needs conflicts, while the
+    formula without assumptions is satisfiable."""
+    n, clauses = pigeonhole(holes)
+    out = []
+    for b in range(blocks):
+        shift = blocks + b * n
+        for c in clauses:
+            out.append([-(b + 1)] + [l + shift if l > 0 else l - shift
+                                     for l in c])
+    return blocks + blocks * n, out
+
+
 def check(solver, num_vars, clauses):
     model = solver.solve()
     expected = tt_models(num_vars, clauses)
@@ -176,60 +190,122 @@ class TestDeterminism:
             assert len(answers) == 1, "seeds disagree on satisfiability"
 
 
-class TestClone:
-    def test_same_content(self):
-        s = Solver(2)
-        s.add_clause([1, 2])
-        s.add_clause([-1, 2])
-        c = s.clone()
-        assert c.solve() == s.solve()
+class TestAssumptions:
+    def test_random_assumption_sets(self):
+        """Successive calls on one session, with blocking clauses added in
+        between, each return a model of the clauses that satisfies that
+        call's assumptions, or None exactly when no such model exists."""
+        rng = random.Random(3117)
+        for _ in range(150):
+            num_vars = rng.randint(1, 8)
+            clauses = random_clauses(rng, num_vars)
+            s = Solver(num_vars, seed=rng.choice([0, 0, 5]))
+            for c in clauses:
+                s.add_clause(c)
+            for _ in range(6):
+                width = rng.randint(0, num_vars)
+                assumptions = [v if rng.random() < 0.5 else -v
+                               for v in rng.sample(range(1, num_vars + 1),
+                                                   width)]
+                model = s.solve(assumptions)
+                expected = set(tt_models(num_vars, clauses
+                                         + [[l] for l in assumptions]))
+                if model is None:
+                    assert expected == set(), (clauses, assumptions)
+                    continue
+                assert tuple(model[1:]) in expected
+                assert all(model[l] if l > 0 else not model[-l]
+                           for l in assumptions)
+                if rng.random() < 0.5:
+                    block = [-v if model[v] else v
+                             for v in range(1, num_vars + 1)]
+                    s.add_clause(block)
+                    clauses.append(block)
+            check(s, num_vars, clauses)
 
-    def test_isolation(self):
-        s = Solver(2)
-        s.add_clause([1, 2])
-        c = s.clone()
-        c.add_clause([-1])
-        c.add_clause([-2])
-        assert c.solve() is None
-        assert s.solve() is not None
-
-    def test_clone_of_unsat(self):
-        s = Solver(1)
-        s.add_clause([1])
-        s.add_clause([-1])
-        s.solve()
-        assert s.clone().solve() is None
-
-    def test_clone_keeps_fixed_assignments(self):
+    def test_unsat_under_assumptions_is_not_permanent(self):
         s = Solver(3)
-        s.add_clause([2])
-        c = s.clone()
-        assert c.solve()[2] is True
-
-    def test_clone_mid_enumeration(self):
-        s = Solver(2)
         s.add_clause([1, 2])
+        s.add_clause([-1, 3])
+        s.add_clause([-2, 3])
+        assert s.solve([-3]) is None
         model = s.solve()
-        s.add_clause([-v if model[v] else v for v in (1, 2)])
-        c = s.clone()
-        remaining = set()
-        while True:
-            m = c.solve()
-            if m is None:
-                break
-            remaining.add(tuple(m[1:]))
-            c.add_clause([-v if m[v] else v for v in (1, 2)])
-        expected = {t for t in tt_models(2, [[1, 2]]) if t != tuple(model[1:])}
-        assert remaining == expected
+        assert model is not None and model[3] is True
+        assert s.solve([1, 2])[1:] == [True, True, True]
 
-    def test_stats_start_fresh(self):
-        n, clauses = pigeonhole(3)
+    def test_unsat_needing_search(self):
+        n, clauses = gated_pigeonhole(4, 1)
         s = Solver(n)
         for c in clauses:
             s.add_clause(c)
-        s.solve()
-        c = s.clone()
-        assert c.stats["conflicts"] == 0
+        assert s.solve([1]) is None
+        assert s.stats["conflicts"] > 0
+        model = s.solve()
+        assert model is not None
+        # the clauses learned under the assumption stay and still hold
+        assert model[1] is False
+        assert s.solve([1]) is None
+
+    def test_assumption_against_level0_unit(self):
+        s = Solver(2)
+        s.add_clause([1])
+        s.add_clause([-1, 2])
+        assert s.solve([-2]) is None
+        assert s.solve([-1]) is None
+        assert s.solve() == [False, True, True]
+        assert s.solve([2, 1]) == [False, True, True]
+
+    def test_assumption_already_true_and_repeated(self):
+        s = Solver(3)
+        s.add_clause([1])
+        s.add_clause([-2, 3])
+        model = s.solve([1, 2, 2, 1])
+        assert model == [False, True, True, True]
+        assert s.solve([2, -2]) is None
+        assert s.solve([3]) is not None
+
+    def test_assumption_validation(self):
+        s = Solver(2)
+        with pytest.raises(ValueError):
+            s.solve([3])
+        with pytest.raises(ValueError):
+            s.solve([0])
+        assert s.solve() is not None
+
+
+class TestFromFormula:
+    def test_units_falsify_attached_clauses(self):
+        # units before and after the longer clauses whose literals they
+        # falsify, including both watched literals of a clause
+        cases = [
+            (3, [[1, 2], [-1], [-2]]),
+            (3, [[-1], [-2], [1, 2]]),
+            (3, [[-1], [1, 2, 3], [-3], [-2, 3]]),
+            (4, [[1, 2, 3, 4], [-1], [-2], [-4], [-3, 1]]),
+            (1, [[1], [-1]]),
+            (3, [[1, 2, 3], [-1], [-2]]),
+            (4, [[-1], [1, 2, 4], [-2], [1, 3, -4], [2, 3, 4]]),
+            (4, [[1, 2, 3, 4], [-4], [-3, -1], [-1, 2], [-2]]),
+        ]
+        verdicts = set()
+        for num_vars, clauses in cases:
+            s = Solver.from_formula(CnfFormula(num_vars, clauses))
+            verdicts.add(check(s, num_vars, clauses) is None)
+        assert verdicts == {True, False}
+
+    def test_random_formulas(self):
+        rng = random.Random(612)
+        for _ in range(300):
+            num_vars = rng.randint(1, 8)
+            clauses = random_clauses(rng, num_vars)
+            formula = CnfFormula(num_vars, clauses)
+            s = Solver.from_formula(formula)
+            check(s, num_vars, clauses)
+            # clauses added later see the same fixed assignments
+            extra = random_clauses(rng, num_vars)[:3]
+            for c in extra:
+                s.add_clause(c)
+            check(s, num_vars, clauses + extra)
 
 
 class TestBudget:
@@ -245,19 +321,23 @@ class TestBudget:
         with pytest.raises(BudgetExhausted):
             s.solve()
 
-    def test_shared_across_clones(self):
-        n, clauses = pigeonhole(5)
-        budget = ConflictBudget(50)
+    def test_shared_across_solve_calls(self):
+        n, clauses = gated_pigeonhole(4, 2)
+        probe = Solver(n)
+        for c in clauses:
+            probe.add_clause(c)
+        assert probe.solve([1]) is None
+        first = probe.stats["conflicts"]
+        budget = ConflictBudget(first + 1)
         s = Solver(n, budget=budget)
         for c in clauses:
             s.add_clause(c)
-        c = s.clone()
+        assert s.solve([1]) is None
+        assert budget.used == first
+        # the second block needs more than the one conflict left
         with pytest.raises(BudgetExhausted):
-            c.solve()
-        assert budget.used >= 50
-        # the parent draws on the same exhausted pool
-        with pytest.raises(BudgetExhausted):
-            s.solve()
+            s.solve([2])
+        assert budget.used > budget.limit
 
     def test_large_budget_is_no_limit(self):
         n, clauses = pigeonhole(3)
@@ -284,3 +364,19 @@ class TestFactory:
         s2 = make(f)
         with pytest.raises(BudgetExhausted):
             s2.solve()
+
+    def test_budget_pool_spans_calls_and_sessions(self):
+        n, clauses = gated_pigeonhole(4, 2)
+        f = CnfFormula(n, clauses)
+        probe = Solver.from_formula(f)
+        assert probe.solve([1]) is None
+        first = probe.stats["conflicts"]
+        make = builtin_session_factory(conflict_budget=first + 1)
+        s1 = make(f)
+        assert s1.solve([1]) is None
+        s2 = make(f)
+        with pytest.raises(BudgetExhausted):
+            s2.solve([2])
+        # the first session draws on the same exhausted pool
+        with pytest.raises(BudgetExhausted):
+            s1.solve([2])
