@@ -17,13 +17,15 @@ is its sum over valid cases divided by the number of valid cases, times
 import csv
 import math
 import os
+import signal
 import subprocess
 import sys
-import threading
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 
 from . import __version__
+from .cli import parse_backend
 from .cnf import encoding_from_string
 from .generators import instance_path, load_manifest
 
@@ -61,38 +63,43 @@ def parse_system(spec):
     if len(parts) != 2:
         raise ValueError(f"bad system spec (want ENCODING:backend): {spec!r}")
     encoding = encoding_from_string(parts[0])
-    backend = parts[1]
-    if backend == "builtin":
-        return encoding, ("builtin",)
-    if backend.startswith("ext:") and backend[4:]:
-        return encoding, ("ext", backend[4:])
-    raise ValueError(f"bad solver backend in system spec: {spec!r}")
+    backend = parse_backend(parts[1])
+    if backend is None:
+        raise ValueError(f"bad solver backend in system spec: {spec!r}")
+    return encoding, backend
 
 
 def _system_command(system_id, apx_path):
-    encoding, backend = parse_system(system_id)
-    cmd = [sys.executable, "-m", "afsat", "enumerate", "--format", "apx",
-           "--encoding", encoding.value, "--stats-only"]
-    if backend[0] == "ext":
-        cmd += ["--solver", f"ext:{backend[1]}"]
-    cmd.append(apx_path)
-    return cmd
+    encoding, _ = parse_system(system_id)
+    backend = system_id.split(":", 1)[1]  # the child parses it the same way
+    return [sys.executable, "-m", "afsat", "enumerate", "--format", "apx",
+            "--encoding", encoding.value, "--solver", backend, "--stats-only",
+            apx_path]
 
 
 def run_one(system_id, apx_path, budget_s):
     """Run one system on one instance in a fresh process; returns
-    (outcome, seconds, detail)."""
+    (outcome, seconds, detail). On overrun the child's whole process group
+    (its solver included) is killed, and its private TMPDIR removed."""
     cmd = _system_command(system_id, apx_path)
-    t0 = time.perf_counter()
-    try:
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=budget_s)
-    except subprocess.TimeoutExpired:
-        return OUTCOME_TIMEOUT, float(budget_s), ""
-    dt = time.perf_counter() - t0
+    with tempfile.TemporaryDirectory(prefix="afsat-bench-") as tmp:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                env=dict(os.environ, TMPDIR=tmp),
+                                start_new_session=True)
+        try:
+            _, stderr = proc.communicate(timeout=budget_s)
+        except subprocess.TimeoutExpired:
+            return OUTCOME_TIMEOUT, float(budget_s), ""
+        finally:
+            if proc.returncode is None:  # overrun or interrupt
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        dt = time.perf_counter() - t0
     if proc.returncode == 0:
         return OUTCOME_SOLVED, dt, ""
-    detail = (proc.stderr or "").strip().splitlines()
+    detail = (stderr or "").strip().splitlines()
     return OUTCOME_ERROR, dt, detail[-1] if detail else f"exit {proc.returncode}"
 
 
@@ -146,23 +153,26 @@ def run_bench(manifest, systems, budget_s, out_csv, repetitions=1, jobs=1,
                     tasks.append((rid, system_id, path))
 
     new_file = not (resume and os.path.exists(out_csv))
-    lock = threading.Lock()
     records = list(done)
     with open(out_csv, "a" if not new_file else "w", newline="") as fh:
+        writer = csv.writer(fh)
         if new_file:
             fh.write(f"# afsat {__version__} bench; budget_s={budget_s}\n")
-            writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
             fh.flush()
-        writer = csv.writer(fh)
 
         def work(task):
             rid, system_id, path = task
             outcome, seconds, _ = run_one(system_id, path, budget_s)
             return BenchRecord(rid, system_id, outcome, seconds)
 
-        if jobs <= 1:
-            produced = map(work, tasks)
+        with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
+            if jobs <= 1:
+                produced = map(work, tasks)  # in task order
+            else:
+                produced = (fut.result() for fut in as_completed(
+                    [pool.submit(work, t) for t in tasks]))
+            # only this thread touches the CSV and the record list
             for rec in produced:
                 records.append(rec)
                 writer.writerow([rec.instance_id, rec.system_id, rec.outcome,
@@ -170,18 +180,6 @@ def run_bench(manifest, systems, budget_s, out_csv, repetitions=1, jobs=1,
                 fh.flush()
                 if progress:
                     progress(rec)
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(work, t) for t in tasks]
-                for fut in as_completed(futures):
-                    rec = fut.result()
-                    with lock:
-                        records.append(rec)
-                        writer.writerow([rec.instance_id, rec.system_id,
-                                         rec.outcome, f"{rec.seconds:.6f}"])
-                        fh.flush()
-                    if progress:
-                        progress(rec)
     return records
 
 

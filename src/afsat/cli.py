@@ -56,21 +56,29 @@ def _encoding(args):
     return encoding_from_string(args.encoding)
 
 
+def parse_backend(spec):
+    """Solver backend spec ``builtin`` or ``ext:<command>`` as ``("builtin",)``
+    or ``("ext", command)``; None when the spec is neither."""
+    if spec == "builtin":
+        return ("builtin",)
+    if spec.startswith("ext:") and spec[4:]:
+        return ("ext", spec[4:])
+    return None
+
+
 def _session_factory(args):
-    from .solver import builtin_session_factory
+    backend = parse_backend(args.solver)
+    if backend is None:
+        raise ValueError(f"bad --solver value: {args.solver!r} "
+                         "(expected 'builtin' or 'ext:<command>')")
+    if backend[0] == "builtin":
+        from .solver import builtin_session_factory
 
-    solver = getattr(args, "solver", "builtin")
-    if solver == "builtin":
-        return builtin_session_factory(
-            seed=getattr(args, "seed", 0),
-            conflict_budget=getattr(args, "conflict_budget", None))
-    if solver.startswith("ext:") and solver[4:]:
-        from .extsolver import external_session_factory
+        return builtin_session_factory(seed=args.seed,
+                                       conflict_budget=args.conflict_budget)
+    from .extsolver import external_session_factory
 
-        return external_session_factory(
-            [solver[4:]], budget_s=getattr(args, "solver_budget", None))
-    raise ValueError(f"bad --solver value: {solver!r} "
-                     "(expected 'builtin' or 'ext:<command>')")
+    return external_session_factory([backend[1]], budget_s=args.solver_budget)
 
 
 def _print_json(payload):
@@ -114,21 +122,44 @@ def cmd_encode(args):
     return EXIT_OK
 
 
+def _enumerate(run, af, encoding, factory):
+    """The result of an enumeration run, partial when the budget ran out."""
+    from .enumeration import EnumerationIncomplete
+
+    try:
+        return run(af, encoding, factory)
+    except EnumerationIncomplete as exc:
+        return exc.partial
+
+
+def _credulous(af, index, encoding, args):
+    """Credulous acceptance on a fresh budget; None when it runs out."""
+    from .enumeration import credulous_accept
+    from .solver import BudgetExhausted
+
+    try:
+        return credulous_accept(af, index, encoding, _session_factory(args))
+    except BudgetExhausted:
+        return None
+
+
+def _skeptical(index, preferred):
+    """Skeptical acceptance from a preferred enumeration. A partial one
+    proves only rejections (an argument missing from a proven extension);
+    anything else is then unknown (None)."""
+    accepted = all(index in s for s in preferred.extensions)
+    return None if accepted and not preferred.complete else accepted
+
+
 def cmd_enumerate(args):
-    from .enumeration import (EnumerationIncomplete, enumerate_complete,
-                              enumerate_preferred)
+    from .enumeration import enumerate_complete, enumerate_preferred
 
     af = _read_af(args)
     encoding = _encoding(args)
-    factory = _session_factory(args)
     run = (enumerate_preferred if args.semantics == "preferred"
            else enumerate_complete)
-    exit_code = EXIT_OK
-    try:
-        result = run(af, encoding, factory)
-    except EnumerationIncomplete as exc:
-        result = exc.partial
-        exit_code = EXIT_BUDGET
+    result = _enumerate(run, af, encoding, _session_factory(args))
+    exit_code = EXIT_OK if result.complete else EXIT_BUDGET
 
     payload = {
         "semantics": result.semantics,
@@ -149,27 +180,14 @@ def cmd_enumerate(args):
 
     queries = {}
     if args.query_credulous:
-        from .enumeration import credulous_accept
-        from .solver import BudgetExhausted
-
         credulous = queries["credulous"] = {}
         for name in args.query_credulous:
-            try:
-                credulous[name] = credulous_accept(
-                    af, af.index(name), encoding, _session_factory(args))
-            except BudgetExhausted:
-                credulous[name] = None
+            credulous[name] = _credulous(af, af.index(name), encoding, args)
+            if credulous[name] is None:
                 exit_code = EXIT_BUDGET
     if args.query_skeptical:
-        # a partial run proves only rejections: an argument missing from a
-        # proven preferred extension is not skeptically accepted, and
-        # anything else is unknown (null)
-        skeptical = queries["skeptical"] = {}
-        for name in args.query_skeptical:
-            index = af.index(name)
-            accepted = all(index in s for s in result.extensions)
-            skeptical[name] = (None if accepted and not result.complete
-                               else accepted)
+        queries["skeptical"] = {name: _skeptical(af.index(name), result)
+                                for name in args.query_skeptical}
     if queries:
         payload["queries"] = queries
 
@@ -178,19 +196,22 @@ def cmd_enumerate(args):
 
 
 def cmd_query(args):
-    from .enumeration import credulous_accept, skeptical_accept
+    from .enumeration import enumerate_preferred
 
     af = _read_af(args)
     encoding = _encoding(args)
-    factory = _session_factory(args)
     index = af.index(args.argument)
     if args.mode == "credulous":
-        accepted = credulous_accept(af, index, encoding, factory)
+        accepted = _credulous(af, index, encoding, args)
+        complete = accepted is not None
     else:
-        accepted = skeptical_accept(af, index, encoding, factory)
+        result = _enumerate(enumerate_preferred, af, encoding,
+                            _session_factory(args))
+        accepted = _skeptical(index, result)
+        complete = result.complete
     _print_json({"argument": args.argument, "mode": args.mode,
                  "encoding": encoding.value, "accepted": accepted})
-    return EXIT_OK
+    return EXIT_OK if complete else EXIT_BUDGET
 
 
 def cmd_generate(args):
@@ -467,20 +488,10 @@ def main(argv=None):
     except KeyError as exc:
         print(f"afsat: error: {exc.args[0]}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
-        print(f"afsat: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        # parse errors and bad parameter combinations
-        print(f"afsat: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RuntimeError as exc:
-        from .enumeration import EnumerationIncomplete
-        from .solver import BudgetExhausted
-
-        if isinstance(exc, (BudgetExhausted, EnumerationIncomplete)):
-            print(f"afsat: budget exhausted: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
+    except (OSError, ValueError, RuntimeError) as exc:
+        # unreadable files, parse errors, bad parameter combinations and
+        # external solver failures; an exhausted budget never gets here,
+        # since every command that solves reports it in its own output
         print(f"afsat: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -56,12 +56,31 @@ class VarLayout:
         return i + 1, (IN, OUT, UNDEC)[r]
 
 
+def normalize_clause(lits, num_vars):
+    """Distinct literals of a clause over variables 1..num_vars, as a tuple
+    in first-seen order (sessions watch the first two); None for a
+    tautology. Every literal is range-checked (ValueError)."""
+    seen = set()
+    clause = []
+    tautology = False
+    for lit in lits:
+        lit = int(lit)
+        if lit == 0 or abs(lit) > num_vars:
+            raise ValueError(f"literal out of range: {lit}")
+        if -lit in seen:
+            tautology = True
+        elif lit not in seen:
+            seen.add(lit)
+            clause.append(lit)
+    return None if tautology else tuple(clause)
+
+
 class CnfFormula:
     """Immutable clause list over variables 1..num_vars.
 
-    Construction normalizes defensively: duplicate literals inside a clause
-    are dropped, tautological clauses (v and -v together) are discarded, and
-    empty or out-of-range clauses are rejected.
+    Construction normalizes every clause with normalize_clause: duplicate
+    literals are dropped, tautologies are discarded, and empty clauses or
+    out-of-range literals are rejected.
     """
 
     __slots__ = ("num_vars", "clauses")
@@ -72,26 +91,12 @@ class CnfFormula:
         self.num_vars = num_vars
         kept = []
         for clause in clauses:
-            lits = self._normalize(clause)
+            lits = normalize_clause(clause, num_vars)
+            if lits == ():
+                raise ValueError("empty clause")
             if lits is not None:
                 kept.append(lits)
         self.clauses = tuple(kept)
-
-    def _normalize(self, clause):
-        seen = set()
-        out = []
-        for lit in clause:
-            lit = int(lit)
-            if lit == 0 or abs(lit) > self.num_vars:
-                raise ValueError(f"literal out of range: {lit}")
-            if -lit in seen:
-                return None  # tautology, contributes nothing
-            if lit not in seen:
-                seen.add(lit)
-                out.append(lit)
-        if not out:
-            raise ValueError("empty clause")
-        return tuple(out)
 
     @property
     def num_clauses(self):

@@ -53,10 +53,6 @@ class EnumerationResult:
                 f" {len(self.extensions)} extensions, complete={self.complete})")
 
 
-def _default_factory(formula):
-    return Solver.from_formula(formula)
-
-
 def _sorted_extensions(af, extensions):
     def key(s):
         return (-len(s), tuple(sorted(af.name(i) for i in s)))
@@ -69,7 +65,7 @@ def enumerate_preferred(af, encoding=EncodingId.C2, session_factory=None):
     Raises EnumerationIncomplete when the session budget runs out; the
     exception carries the extensions confirmed so far.
     """
-    factory = session_factory or _default_factory
+    factory = session_factory or Solver.from_formula
     layout = VarLayout(af.k)
     all_args = frozenset(range(1, af.k + 1))
     session = factory(encode(af, encoding, nonempty=True))
@@ -121,7 +117,7 @@ def enumerate_preferred(af, encoding=EncodingId.C2, session_factory=None):
 def enumerate_complete(af, encoding=EncodingId.C2, session_factory=None):
     """All complete extensions of a framework (the empty one included when
     it is complete), by blocking each found in-set projection."""
-    factory = session_factory or _default_factory
+    factory = session_factory or Solver.from_formula
     layout = VarLayout(af.k)
     all_args = frozenset(range(1, af.k + 1))
     session = factory(encode(af, encoding, nonempty=False))
@@ -160,7 +156,7 @@ def credulous_accept(af, a, encoding=EncodingId.C2, session_factory=None):
     Membership in any complete extension suffices, so this is a single
     satisfiability call with the argument forced in.
     """
-    factory = session_factory or _default_factory
+    factory = session_factory or Solver.from_formula
     layout = VarLayout(af.k)
     session = factory(encode(af, encoding, nonempty=True))
     session.add_clause([layout.in_var(a)])

@@ -1,14 +1,15 @@
 """Bridge to external DIMACS solvers run as subprocesses.
 
-The bridge writes the formula to a temporary DIMACS file, invokes the
-configured command with that path appended, and reads the stock solver
-output protocol from stdout: an ``s SATISFIABLE`` / ``s UNSATISFIABLE`` /
-``s UNKNOWN`` status line plus ``v`` value lines for models. Variables the
-solver leaves unmentioned default to false. Every reported model is
-re-verified in process against the exact formula that was written; a model
-that does not check out, or output with no status line, is a protocol
-error. A wall-clock timeout (or an UNKNOWN verdict) surfaces as the same
-budget outcome the built-in solver uses, never as unsatisfiable.
+The bridge writes the formula to a temporary DIMACS file in the system
+temporary directory (``TMPDIR`` when set), invokes the configured command
+with that path appended, and reads the stock solver output protocol from
+stdout: an ``s SATISFIABLE`` / ``s UNSATISFIABLE`` / ``s UNKNOWN`` status
+line plus ``v`` value lines for models. Variables the solver leaves
+unmentioned default to false. Every reported model is re-verified in
+process against the exact formula that was written; a model that does not
+check out, or output with no status line, is a protocol error. A
+wall-clock timeout (or an UNKNOWN verdict) surfaces as the same budget
+outcome the built-in solver uses, never as unsatisfiable.
 
 ``ExternalSession`` wraps the one-shot bridge in the session interface the
 enumeration code expects (``add_clause`` / ``solve(assumptions=())``) by
@@ -20,7 +21,7 @@ import os
 import subprocess
 import tempfile
 
-from .cnf import CnfFormula, satisfies, to_dimacs
+from .cnf import CnfFormula, normalize_clause, satisfies, to_dimacs
 from .solver import BudgetExhausted
 
 
@@ -33,19 +34,18 @@ class ExternalSolverConfig:
 
     ``command`` is the executable plus fixed arguments; the DIMACS path is
     appended as the final argument. ``budget_s`` is a wall-clock limit per
-    call (None for unlimited). ``workdir`` hosts the temporary files.
+    call (None for unlimited).
     """
 
-    __slots__ = ("command", "budget_s", "workdir")
+    __slots__ = ("command", "budget_s")
 
-    def __init__(self, command, budget_s=None, workdir=None):
+    def __init__(self, command, budget_s=None):
         if isinstance(command, str):
             command = [command]
         if not command:
             raise ValueError("empty solver command")
         self.command = list(command)
         self.budget_s = budget_s
-        self.workdir = workdir
 
     def __repr__(self):
         return (f"ExternalSolverConfig({self.command!r}, "
@@ -75,8 +75,7 @@ def solve_external(config, formula):
     raises BudgetExhausted on timeout or an UNKNOWN verdict and
     SolverProtocolError on anything unintelligible.
     """
-    fd, path = tempfile.mkstemp(suffix=".cnf", prefix="afsat-",
-                                dir=config.workdir)
+    fd, path = tempfile.mkstemp(suffix=".cnf", prefix="afsat-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(to_dimacs(formula))
@@ -127,21 +126,18 @@ class ExternalSession:
     def __init__(self, config, formula):
         self._config = config
         self.num_vars = formula.num_vars
-        self._clauses = [list(c) for c in formula.clauses]
+        self._clauses = list(formula.clauses)
         self._unsat = False
         self.stats = {"calls": 0}
 
     def add_clause(self, lits):
-        lits = [int(l) for l in lits]
-        for lit in lits:
-            if lit == 0 or abs(lit) > self.num_vars:
-                raise ValueError(f"literal out of range: {lit}")
-        if not lits:
+        """Add a clause normalized by normalize_clause; an empty clause makes
+        the session permanently unsatisfiable."""
+        clause = normalize_clause(lits, self.num_vars)
+        if clause == ():
             self._unsat = True
-            return
-        if any(-l in lits for l in lits):
-            return  # tautology
-        self._clauses.append(sorted(set(lits), key=abs))
+        elif clause is not None:
+            self._clauses.append(clause)
 
     def solve(self, assumptions=()):
         """Model of the accumulated clauses plus the assumptions as units,
@@ -150,13 +146,13 @@ class ExternalSession:
             return None
         self.stats["calls"] += 1
         formula = CnfFormula(self.num_vars,
-                             self._clauses + [[lit] for lit in assumptions])
+                             self._clauses + [(lit,) for lit in assumptions])
         return solve_external(self._config, formula)
 
 
-def external_session_factory(command, budget_s=None, workdir=None):
+def external_session_factory(command, budget_s=None):
     """Session factory running every SAT call through an external solver."""
-    config = ExternalSolverConfig(command, budget_s=budget_s, workdir=workdir)
+    config = ExternalSolverConfig(command, budget_s=budget_s)
 
     def make(formula):
         return ExternalSession(config, formula)

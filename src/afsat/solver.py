@@ -17,6 +17,8 @@ every learned clause stays, since it follows from the clauses alone.
 import random
 from heapq import heapify, heappop, heappush
 
+from .cnf import normalize_clause
+
 
 class BudgetExhausted(RuntimeError):
     """The conflict budget ran out before the call could finish."""
@@ -68,7 +70,6 @@ class Solver:
         self._var_inc = 1.0
         self._unsat = False
         self._budget = budget
-        self._seed = seed
         self.stats = {"decisions": 0, "propagations": 0, "conflicts": 0,
                       "restarts": 0}
         if seed:
@@ -145,34 +146,24 @@ class Solver:
     def add_clause(self, lits):
         """Add a clause; legal between solve() calls.
 
-        Literals false under the fixed (level-0) assignments are dropped and
-        clauses already satisfied there are skipped. An empty clause, or a
-        unit contradicting the fixed assignments, makes the session
-        permanently unsatisfiable.
+        The clause is normalized by normalize_clause, so tautologies are
+        skipped. Literals false under the fixed (level-0) assignments are
+        dropped and clauses already satisfied there are skipped. An empty
+        clause, or a unit contradicting the fixed assignments, makes the
+        session permanently unsatisfiable.
         """
-        if self._unsat:
+        clause = normalize_clause(lits, self._n)
+        if clause is None or self._unsat:
             return
         self._backtrack(0)
         n = self._n
-        seen = set()
         out = []
-        satisfied = False
-        for lit in lits:
-            lit = int(lit)
-            if lit == 0 or abs(lit) > n:
-                raise ValueError(f"literal out of range: {lit}")
-            if -lit in seen:
-                return  # tautology
-            if lit in seen:
-                continue
-            seen.add(lit)
+        for lit in clause:
             cur = self._val[lit + n]
             if cur is True:
-                satisfied = True
-            elif cur is None:
+                return
+            if cur is None:
                 out.append(lit)
-        if satisfied:
-            return
         if not out:
             self._unsat = True
             return

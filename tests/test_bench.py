@@ -2,6 +2,8 @@
 
 import math
 import sys
+import tempfile
+import time
 
 import pytest
 
@@ -19,6 +21,21 @@ from afsat.bench import (
 )
 from afsat.cnf import EncodingId
 from afsat.generators import METHOD_PROBABILITY, build_suite, load_manifest
+
+
+def running(pid, wait_s=5.0):
+    """True if the process is still running (not gone, not a zombie) after
+    up to wait_s seconds; a killed orphan is reaped asynchronously."""
+    deadline = time.monotonic() + wait_s
+    while True:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                state = fh.read().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            return False
+        if state == "Z" or time.monotonic() > deadline:
+            return state != "Z"
+        time.sleep(0.05)
 
 
 def R(instance, system, outcome, seconds):
@@ -186,16 +203,26 @@ class TestRunner:
         assert outcome == "error"
         assert detail
 
-    def test_run_one_timeout(self, tiny_suite, tmp_path):
+    def test_run_one_timeout(self, tiny_suite, tmp_path, monkeypatch):
         # an executable fake solver that hangs, driving the child over budget
+        pid_file = tmp_path / "sleeper.pid"
         sleeper = tmp_path / "sleeper.py"
-        sleeper.write_text(f"#!{sys.executable}\nimport time\ntime.sleep(60)\n")
+        sleeper.write_text(f"#!{sys.executable}\nimport os, time\n"
+                           f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+                           "time.sleep(60)\n")
         sleeper.chmod(0o755)
+        temp_root = tmp_path / "tmp"
+        temp_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
         manifest = load_manifest(tiny_suite)
         path = f"{tiny_suite}/{manifest['instances'][0]['path']}"
         outcome, seconds, _ = run_one(f"C2:ext:{sleeper}", path, budget_s=1.0)
         assert outcome == "timeout"
         assert seconds == 1.0
+        # the solver the child started is killed with it, and the child's
+        # temporary DIMACS file does not outlive the run
+        assert not running(int(pid_file.read_text()))
+        assert list(temp_root.iterdir()) == []
 
     def test_run_bench_and_resume(self, tiny_suite, tmp_path):
         out_csv = str(tmp_path / "results.csv")

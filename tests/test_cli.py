@@ -344,6 +344,17 @@ class TestEnumerate:
         assert payload["complete"] is True
         assert payload["extensions"] == [["a"], ["b"]]
 
+    def test_solver_budget(self, capsys, tmp_path):
+        sleeper = tmp_path / "sleeper"
+        sleeper.write_text(f"#!{sys.executable}\nimport time\ntime.sleep(30)\n")
+        sleeper.chmod(0o755)
+        path = af_file(tmp_path, MUTUAL_APX)
+        code, out, _ = run_cli(capsys, [
+            "enumerate", path, "--solver", f"ext:{sleeper}",
+            "--solver-budget", "0.5"])
+        assert code == 3
+        assert json.loads(out)["complete"] is False
+
     def test_bad_solver_value_is_input_error(self, capsys, tmp_path):
         path = af_file(tmp_path, MUTUAL_APX)
         code, _, err = run_cli(capsys, ["enumerate", path, "--solver", "wat"])
@@ -367,12 +378,76 @@ class TestQuery:
         assert code == 0
         assert json.loads(out)["accepted"] is True
 
+    def test_skeptical_on_partial_run(self, capsys, tmp_path):
+        text = rings_apx("abcd", "efgh", "xyz")
+        af = parse(text)
+        path = af_file(tmp_path, text)
+        budget = ["--conflict-budget", "5"]
+        code, out, _ = run_cli(capsys, ["enumerate", path] + budget + [
+            flag for name in af.arguments
+            for flag in ("--query-skeptical", name)])
+        assert code == 3
+        assert json.loads(out)["complete"] is False
+        expected = json.loads(out)["queries"]["skeptical"]
+        answers = {}
+        for name in af.arguments:
+            code, out, _ = run_cli(capsys, [
+                "query", path, "--mode", "skeptical", "--argument", name]
+                + budget)
+            assert code == 3
+            answers[name] = json.loads(out)["accepted"]
+        assert answers == expected
+        assert set(answers.values()) == {False, None}
+
+    def test_credulous_out_of_budget(self, capsys, tmp_path):
+        # the framework of TestEnumerate.test_credulous_query_out_of_budget
+        path = af_file(tmp_path, "arg(x1).\narg(x2).\narg(x3).\narg(x4).\n"
+                       "att(x1,x1).\natt(x1,x2).\natt(x2,x4).\natt(x3,x1).\n"
+                       "att(x3,x2).\natt(x3,x3).\n")
+        code, out, _ = run_cli(capsys, [
+            "query", path, "--mode", "credulous", "--argument", "x4",
+            "--conflict-budget", "1"])
+        assert code == 3
+        assert json.loads(out) == {"argument": "x4", "mode": "credulous",
+                                   "encoding": "C2", "accepted": None}
+
     def test_unknown_argument_is_input_error(self, capsys, tmp_path):
         path = af_file(tmp_path, CHAIN_APX)
         code, _, err = run_cli(
             capsys, ["query", path, "--mode", "credulous", "--argument", "q"])
         assert code == 2
         assert "no argument named" in err
+
+
+def test_layer_entry_points_looked_up_at_call_time(capsys, tmp_path,
+                                                  monkeypatch):
+    """The benchmark's traced run replaces these module attributes; an
+    ``enumerate`` that bound one at import time would escape the trace."""
+    import afsat.enumeration
+    import afsat.fileformats
+    import afsat.solver
+
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in [(afsat.fileformats, "parse"),
+                         (afsat.enumeration, "encode"),
+                         (afsat.solver, "builtin_session_factory"),
+                         (afsat.enumeration, "enumerate_preferred"),
+                         (afsat.enumeration, "enumerate_complete")]:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    path = af_file(tmp_path, MUTUAL_APX)
+    for semantics in ("preferred", "complete"):
+        code, _, _ = run_cli(capsys, ["enumerate", path,
+                                      "--semantics", semantics])
+        assert code == 0
+    assert calls == {"parse": 2, "encode": 2, "builtin_session_factory": 2,
+                     "enumerate_preferred": 1, "enumerate_complete": 1}
 
 
 class TestGenerate:

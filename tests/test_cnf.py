@@ -12,13 +12,16 @@ from afsat.cnf import (
     encoding_from_string,
     model_in_args,
     model_to_labelling,
+    normalize_clause,
     parse_dimacs,
     satisfies,
     standard_comments,
     to_dimacs,
 )
 from afsat.core import IN, OUT, UNDEC
+from afsat.extsolver import ExternalSession, ExternalSolverConfig
 from afsat.oracle import oracle_complete_labellings
+from afsat.solver import Solver
 
 from conftest import CHAIN3, CYCLE3, FULL3, MUTUAL, NO_ATTACKS3, SELF1, make_af
 
@@ -99,6 +102,40 @@ class TestCnfFormula:
         assert CnfFormula(2, [[1, 2]]) == CnfFormula(2, [[1, 2]])
         assert CnfFormula(2, [[1, 2]]) != CnfFormula(2, [[2, 1]])
         assert hash(CnfFormula(2, [[1]])) == hash(CnfFormula(2, [[1]]))
+
+
+class TestNormalizeClause:
+    """One clause rule for formulas and both session backends."""
+
+    @pytest.mark.parametrize("lits, want", [
+        ([2, 1, 2, -3, 1], (2, 1, -3)),  # repeats dropped, order kept
+        ([1, -2, 2], None),  # tautology
+        ([], ()),  # empty clause
+        ([1, -1, 4], ValueError),  # out of range after a tautology
+    ])
+    def test_same_result_everywhere(self, lits, want):
+        solver = Solver(3)
+        external = ExternalSession(ExternalSolverConfig("unused"),
+                                   CnfFormula(3))
+        if want is ValueError:
+            for add in (lambda c: normalize_clause(c, 3),
+                        lambda c: CnfFormula(3, [c]),
+                        solver.add_clause, external.add_clause):
+                with pytest.raises(ValueError, match="out of range: 4"):
+                    add(lits)
+            return
+        assert normalize_clause(lits, 3) == want
+        solver.add_clause(lits)
+        external.add_clause(lits)
+        if want == ():
+            with pytest.raises(ValueError, match="empty clause"):
+                CnfFormula(3, [lits])
+            assert solver.solve() is None and external.solve() is None
+            return
+        stored = [] if want is None else [want]
+        assert list(CnfFormula(3, [lits]).clauses) == stored
+        assert [tuple(c) for c in solver._clauses] == stored
+        assert external._clauses == stored
 
 
 class TestEncodingIds:
