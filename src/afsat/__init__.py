@@ -66,11 +66,11 @@ _EXPORTS = {
     "solve_external": "extsolver",
     "external_session_factory": "extsolver",
     "EnumerationResult": "enumeration",
-    "EnumerationIncomplete": "enumeration",
     "enumerate_preferred": "enumeration",
     "enumerate_complete": "enumeration",
     "credulous_accept": "enumeration",
     "skeptical_accept": "enumeration",
+    "skeptical_answer": "enumeration",
     "gen_probability": "generators",
     "gen_count": "generators",
     "gen_empty": "generators",

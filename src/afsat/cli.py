@@ -71,7 +71,12 @@ def _session_factory(args):
     if backend is None:
         raise ValueError(f"bad --solver value: {args.solver!r} "
                          "(expected 'builtin' or 'ext:<command>')")
-    if backend[0] == "builtin":
+    # each budget flag belongs to the one backend that honors it
+    builtin = backend[0] == "builtin"
+    if (args.solver_budget if builtin else args.conflict_budget) is not None:
+        flag = "--solver-budget" if builtin else "--conflict-budget"
+        raise ValueError(f"{flag} does not apply to --solver {args.solver}")
+    if builtin:
         from .solver import builtin_session_factory
 
         return builtin_session_factory(seed=args.seed,
@@ -122,43 +127,15 @@ def cmd_encode(args):
     return EXIT_OK
 
 
-def _enumerate(run, af, encoding, factory):
-    """The result of an enumeration run, partial when the budget ran out."""
-    from .enumeration import EnumerationIncomplete
-
-    try:
-        return run(af, encoding, factory)
-    except EnumerationIncomplete as exc:
-        return exc.partial
-
-
-def _credulous(af, index, encoding, args):
-    """Credulous acceptance on a fresh budget; None when it runs out."""
-    from .enumeration import credulous_accept
-    from .solver import BudgetExhausted
-
-    try:
-        return credulous_accept(af, index, encoding, _session_factory(args))
-    except BudgetExhausted:
-        return None
-
-
-def _skeptical(index, preferred):
-    """Skeptical acceptance from a preferred enumeration. A partial one
-    proves only rejections (an argument missing from a proven extension);
-    anything else is then unknown (None)."""
-    accepted = all(index in s for s in preferred.extensions)
-    return None if accepted and not preferred.complete else accepted
-
-
 def cmd_enumerate(args):
-    from .enumeration import enumerate_complete, enumerate_preferred
+    from .enumeration import (credulous_accept, enumerate_complete,
+                              enumerate_preferred, skeptical_answer)
 
     af = _read_af(args)
     encoding = _encoding(args)
     run = (enumerate_preferred if args.semantics == "preferred"
            else enumerate_complete)
-    result = _enumerate(run, af, encoding, _session_factory(args))
+    result = run(af, encoding, _session_factory(args))
     exit_code = EXIT_OK if result.complete else EXIT_BUDGET
 
     payload = {
@@ -179,15 +156,17 @@ def cmd_enumerate(args):
         payload["stats"]["wall_time_s"] = round(result.stats["wall_time_s"], 6)
 
     queries = {}
-    if args.query_credulous:
+    if args.credulous:
         credulous = queries["credulous"] = {}
-        for name in args.query_credulous:
-            credulous[name] = _credulous(af, af.index(name), encoding, args)
+        for name in args.credulous:
+            # each query solves on a fresh budget
+            credulous[name] = credulous_accept(af, af.index(name), encoding,
+                                               _session_factory(args))
             if credulous[name] is None:
                 exit_code = EXIT_BUDGET
-    if args.query_skeptical:
-        queries["skeptical"] = {name: _skeptical(af.index(name), result)
-                                for name in args.query_skeptical}
+    if args.skeptical:
+        queries["skeptical"] = {name: skeptical_answer(result, af.index(name))
+                                for name in args.skeptical}
     if queries:
         payload["queries"] = queries
 
@@ -196,18 +175,19 @@ def cmd_enumerate(args):
 
 
 def cmd_query(args):
-    from .enumeration import enumerate_preferred
+    from .enumeration import (credulous_accept, enumerate_preferred,
+                              skeptical_answer)
 
     af = _read_af(args)
     encoding = _encoding(args)
     index = af.index(args.argument)
+    factory = _session_factory(args)
     if args.mode == "credulous":
-        accepted = _credulous(af, index, encoding, args)
+        accepted = credulous_accept(af, index, encoding, factory)
         complete = accepted is not None
     else:
-        result = _enumerate(enumerate_preferred, af, encoding,
-                            _session_factory(args))
-        accepted = _skeptical(index, result)
+        result = enumerate_preferred(af, encoding, factory)
+        accepted = skeptical_answer(result, index)
         complete = result.complete
     _print_json({"argument": args.argument, "mode": args.mode,
                  "encoding": encoding.value, "accepted": accepted})
@@ -324,11 +304,10 @@ def cmd_bench(args):
 
 def cmd_sat(args):
     from .cnf import parse_dimacs
-    from .solver import BudgetExhausted, ConflictBudget, Solver
+    from .solver import BudgetExhausted, builtin_session_factory
 
     formula = parse_dimacs(_read_text(args.input))
-    budget = ConflictBudget(args.conflict_budget) if args.conflict_budget else None
-    solver = Solver.from_formula(formula, seed=args.seed, budget=budget)
+    solver = builtin_session_factory(args.seed, args.conflict_budget)(formula)
     try:
         model = solver.solve()
     except BudgetExhausted:
@@ -404,9 +383,12 @@ def build_parser():
                    help="include wall time in the stats (output is then "
                         "no longer byte-reproducible)")
     p.add_argument("--query-credulous", action="append", default=[],
-                   metavar="ARG", help="also report credulous acceptance")
+                   dest="credulous", metavar="ARG",
+                   help="also report credulous acceptance")
     p.add_argument("--query-skeptical", action="append", default=[],
-                   metavar="ARG", help="also report skeptical acceptance")
+                   dest="skeptical", metavar="ARG",
+                   help="also report skeptical acceptance (in every "
+                        "preferred extension, under either --semantics)")
     p.set_defaults(func=cmd_enumerate)
 
     p = subs.add_parser("query", help="acceptance of a single argument")

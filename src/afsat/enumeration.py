@@ -15,6 +15,10 @@ nothing was ever found, the unique preferred extension is the empty set.
 
 The inner loop is correct for any model the solver happens to return, so
 any session backend (built-in, external, perturbed seeds) can drive it.
+
+A run whose session budget runs out is not an error: it returns the
+extensions proven so far with ``complete`` False, and the acceptance
+functions answer None where such a run cannot decide.
 """
 
 import time
@@ -23,20 +27,13 @@ from .cnf import EncodingId, VarLayout, encode, model_in_args
 from .solver import BudgetExhausted, Solver
 
 
-class EnumerationIncomplete(RuntimeError):
-    """Budget ran out mid-enumeration; carries what was found so far."""
-
-    def __init__(self, partial):
-        super().__init__("enumeration stopped early: solver budget exhausted")
-        self.partial = partial
-
-
 class EnumerationResult:
     """Extensions found plus search statistics.
 
     ``extensions`` is a tuple of frozensets of argument indices, sorted by
-    size descending then by member names; ``complete`` is False only for
-    partial results surfaced through EnumerationIncomplete.
+    size descending then by member names; ``complete`` is False when the
+    session budget ran out, and ``extensions`` then holds only those
+    proven so far.
     """
 
     __slots__ = ("semantics", "encoding", "extensions", "stats", "complete")
@@ -60,11 +57,8 @@ def _sorted_extensions(af, extensions):
 
 
 def enumerate_preferred(af, encoding=EncodingId.C2, session_factory=None):
-    """All preferred extensions of a framework.
-
-    Raises EnumerationIncomplete when the session budget runs out; the
-    exception carries the extensions confirmed so far.
-    """
+    """All preferred extensions of a framework; a partial result when the
+    session budget runs out."""
     factory = session_factory or Solver.from_formula
     layout = VarLayout(af.k)
     all_args = frozenset(range(1, af.k + 1))
@@ -74,18 +68,7 @@ def enumerate_preferred(af, encoding=EncodingId.C2, session_factory=None):
     inner_iterations = 0
     outer_iterations = 0
     t0 = time.perf_counter()
-
-    def result(complete=True):
-        # the empty set is preferred only when a finished run found nothing
-        extensions = found if found or not complete else [frozenset()]
-        stats = {"sat_calls": sat_calls,
-                 "inner_iterations": inner_iterations,
-                 "outer_iterations": outer_iterations,
-                 "wall_time_s": time.perf_counter() - t0}
-        return EnumerationResult("preferred", encoding,
-                                 _sorted_extensions(af, extensions), stats,
-                                 complete=complete)
-
+    complete = True
     try:
         while True:
             outer_iterations += 1
@@ -110,13 +93,22 @@ def enumerate_preferred(af, encoding=EncodingId.C2, session_factory=None):
                 break
             found.append(candidate)
     except BudgetExhausted:
-        raise EnumerationIncomplete(result(complete=False)) from None
-    return result()
+        complete = False
+    # the empty set is preferred only when a finished run found nothing
+    if complete and not found:
+        found.append(frozenset())
+    stats = {"sat_calls": sat_calls,
+             "inner_iterations": inner_iterations,
+             "outer_iterations": outer_iterations,
+             "wall_time_s": time.perf_counter() - t0}
+    return EnumerationResult("preferred", encoding,
+                             _sorted_extensions(af, found), stats, complete)
 
 
 def enumerate_complete(af, encoding=EncodingId.C2, session_factory=None):
     """All complete extensions of a framework (the empty one included when
-    it is complete), by blocking each found in-set projection."""
+    it is complete), by blocking each found in-set projection; a partial
+    result when the session budget runs out."""
     factory = session_factory or Solver.from_formula
     layout = VarLayout(af.k)
     all_args = frozenset(range(1, af.k + 1))
@@ -124,16 +116,7 @@ def enumerate_complete(af, encoding=EncodingId.C2, session_factory=None):
     found = []
     sat_calls = 0
     t0 = time.perf_counter()
-
-    def result(complete=True):
-        stats = {"sat_calls": sat_calls,
-                 "inner_iterations": sat_calls,
-                 "outer_iterations": 0,
-                 "wall_time_s": time.perf_counter() - t0}
-        return EnumerationResult("complete", encoding,
-                                 _sorted_extensions(af, found), stats,
-                                 complete=complete)
-
+    complete = True
     try:
         while True:
             sat_calls += 1
@@ -146,12 +129,18 @@ def enumerate_complete(af, encoding=EncodingId.C2, session_factory=None):
                         + [layout.in_var(a) for a in sorted(all_args - s)])
             session.add_clause(blocking)
     except BudgetExhausted:
-        raise EnumerationIncomplete(result(complete=False)) from None
-    return result()
+        complete = False
+    stats = {"sat_calls": sat_calls,
+             "inner_iterations": sat_calls,
+             "outer_iterations": 0,
+             "wall_time_s": time.perf_counter() - t0}
+    return EnumerationResult("complete", encoding,
+                             _sorted_extensions(af, found), stats, complete)
 
 
 def credulous_accept(af, a, encoding=EncodingId.C2, session_factory=None):
-    """True iff argument index a is in at least one preferred extension.
+    """True iff argument index a is in at least one preferred extension;
+    None when the session budget runs out.
 
     Membership in any complete extension suffices, so this is a single
     satisfiability call with the argument forced in.
@@ -160,10 +149,32 @@ def credulous_accept(af, a, encoding=EncodingId.C2, session_factory=None):
     layout = VarLayout(af.k)
     session = factory(encode(af, encoding, nonempty=True))
     session.add_clause([layout.in_var(a)])
-    return session.solve() is not None
+    try:
+        return session.solve() is not None
+    except BudgetExhausted:
+        return None
+
+
+def skeptical_answer(result, a):
+    """Whether argument index a is in every preferred extension, read off
+    an enumeration result; None when a partial result cannot tell. A
+    finished complete-semantics result answers over its subset-maximal
+    members, which are the preferred extensions."""
+    preferred = result.extensions
+    if result.semantics == "complete":
+        if not result.complete:
+            return None  # any proven extension may grow to one holding a
+        preferred = []
+        for s in result.extensions:  # by size descending: supersets first
+            if not any(s <= p for p in preferred):
+                preferred.append(s)
+    accepted = all(a in s for s in preferred)
+    # a partial preferred result proves only rejections
+    return None if accepted and not result.complete else accepted
 
 
 def skeptical_accept(af, a, encoding=EncodingId.C2, session_factory=None):
-    """True iff argument index a is in every preferred extension."""
-    result = enumerate_preferred(af, encoding, session_factory)
-    return all(a in s for s in result.extensions)
+    """True iff argument index a is in every preferred extension; False or
+    None as ``skeptical_answer`` gives when the session budget runs out."""
+    return skeptical_answer(
+        enumerate_preferred(af, encoding, session_factory), a)

@@ -44,6 +44,8 @@ class ExternalSolverConfig:
             command = [command]
         if not command:
             raise ValueError("empty solver command")
+        if budget_s is not None and budget_s <= 0:
+            raise ValueError("budget must be positive")
         self.command = list(command)
         self.budget_s = budget_s
 

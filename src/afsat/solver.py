@@ -405,7 +405,8 @@ def builtin_session_factory(seed=0, conflict_budget=None):
     Every session produced by one factory, across all of its solve()
     calls, draws on a single conflict budget pool when one is set.
     """
-    budget = ConflictBudget(conflict_budget) if conflict_budget else None
+    budget = (None if conflict_budget is None
+              else ConflictBudget(conflict_budget))
 
     def make(formula):
         return Solver.from_formula(formula, seed=seed, budget=budget)

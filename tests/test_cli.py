@@ -90,6 +90,21 @@ def assert_proven(af, extensions):
         assert frozenset(af.index(n) for n in names) in preferred, names
 
 
+def refdpll_solver(tmp_path):
+    """``--solver`` value running the reference DPLL as an external solver."""
+    wrapper = tmp_path / "refdpll"
+    wrapper.write_text(f"#!{sys.executable}\nimport runpy\n"
+                       f"runpy.run_path({REFDPLL!r}, run_name='__main__')\n")
+    wrapper.chmod(0o755)
+    return f"ext:{wrapper}"
+
+
+# a<->b, a->c, b->c, c->d: the empty set is complete, but d is in both
+# preferred extensions, {a, d} and {b, d}
+FORK_APX = ("arg(a).\narg(b).\narg(c).\narg(d).\natt(a,b).\natt(b,a).\n"
+            "att(a,c).\natt(b,c).\natt(c,d).\n")
+
+
 def model_lits(out):
     """All literals from the v-lines of solver output, trailing 0 stripped."""
     lits = []
@@ -331,14 +346,38 @@ class TestEnumerate:
         assert json.loads(out)["queries"]["credulous"] == {"x4": None,
                                                            "x2": False}
 
+    def test_skeptical_query_is_about_preferred(self, capsys, tmp_path):
+        path = af_file(tmp_path, FORK_APX)
+        for semantics in ("preferred", "complete"):
+            code, out, _ = run_cli(capsys, [
+                "enumerate", path, "--semantics", semantics,
+                "--query-skeptical", "d", "--query-skeptical", "a"])
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["semantics"] == semantics
+            assert payload["queries"]["skeptical"] == {"d": True, "a": False}
+
+    def test_skeptical_query_on_partial_complete_run(self, capsys, tmp_path):
+        # a proven complete extension may grow into a preferred one that
+        # holds the argument, so nothing is decided
+        text = rings_apx("abcd", "efgh")
+        af = parse(text)
+        path = af_file(tmp_path, text)
+        code, out, _ = run_cli(capsys, [
+            "enumerate", path, "--semantics", "complete",
+            "--conflict-budget", "1"] + [
+            flag for name in af.arguments
+            for flag in ("--query-skeptical", name)])
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["complete"] is False
+        assert payload["extensions"]
+        assert payload["queries"]["skeptical"] == dict.fromkeys(af.arguments)
+
     def test_external_solver(self, capsys, tmp_path):
-        wrapper = tmp_path / "refdpll"
-        wrapper.write_text(f"#!{sys.executable}\nimport runpy\n"
-                           f"runpy.run_path({REFDPLL!r}, run_name='__main__')\n")
-        wrapper.chmod(0o755)
         path = af_file(tmp_path, MUTUAL_APX)
         code, out, _ = run_cli(
-            capsys, ["enumerate", path, "--solver", f"ext:{wrapper}"])
+            capsys, ["enumerate", path, "--solver", refdpll_solver(tmp_path)])
         assert code == 0
         payload = json.loads(out)
         assert payload["complete"] is True
@@ -399,6 +438,13 @@ class TestQuery:
         assert answers == expected
         assert set(answers.values()) == {False, None}
 
+    def test_skeptical_is_about_preferred(self, capsys, tmp_path):
+        path = af_file(tmp_path, FORK_APX)
+        code, out, _ = run_cli(
+            capsys, ["query", path, "--mode", "skeptical", "--argument", "d"])
+        assert code == 0
+        assert json.loads(out)["accepted"] is True
+
     def test_credulous_out_of_budget(self, capsys, tmp_path):
         # the framework of TestEnumerate.test_credulous_query_out_of_budget
         path = af_file(tmp_path, "arg(x1).\narg(x2).\narg(x3).\narg(x4).\n"
@@ -417,6 +463,47 @@ class TestQuery:
             capsys, ["query", path, "--mode", "credulous", "--argument", "q"])
         assert code == 2
         assert "no argument named" in err
+
+
+class TestBudgetFlags:
+    """Each budget flag belongs to one backend and must be positive; any
+    other use is an input error, not a flag silently ignored."""
+
+    @pytest.mark.parametrize("command", [
+        ["enumerate"], ["query", "--mode", "credulous", "--argument", "a"]],
+        ids=["enumerate", "query"])
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--solver-budget", "1"],
+                     "--solver-budget does not apply", id="solver-on-builtin"),
+        pytest.param(["--solver", "REFDPLL", "--conflict-budget", "1"],
+                     "--conflict-budget does not apply", id="conflict-on-ext"),
+        pytest.param(["--conflict-budget", "0"], "budget must be positive",
+                     id="conflict-zero"),
+        pytest.param(["--conflict-budget", "-3"], "budget must be positive",
+                     id="conflict-negative"),
+        pytest.param(["--solver", "REFDPLL", "--solver-budget", "0"],
+                     "budget must be positive", id="solver-zero"),
+        pytest.param(["--solver", "REFDPLL", "--solver-budget", "-1"],
+                     "budget must be positive", id="solver-negative"),
+    ])
+    def test_rejected(self, capsys, tmp_path, command, flags, message):
+        path = af_file(tmp_path, rings_apx("abcd", "efgh"))
+        flags = [refdpll_solver(tmp_path) if f == "REFDPLL" else f
+                 for f in flags]
+        code, out, err = run_cli(capsys, command[:1] + [path] + command[1:]
+                                 + flags)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_sat_rejects_zero_budget(self, capsys, tmp_path):
+        path = tmp_path / "php.cnf"
+        path.write_text(pigeonhole_dimacs(3))
+        code, out, err = run_cli(
+            capsys, ["sat", str(path), "--conflict-budget", "0"])
+        assert code == 2
+        assert out == ""
+        assert "budget must be positive" in err
 
 
 def test_layer_entry_points_looked_up_at_call_time(capsys, tmp_path,

@@ -7,11 +7,11 @@ import pytest
 from afsat.cnf import ENCODINGS, EncodingId
 from afsat.core import ArgumentationFramework
 from afsat.enumeration import (
-    EnumerationIncomplete,
     credulous_accept,
     enumerate_complete,
     enumerate_preferred,
     skeptical_accept,
+    skeptical_answer,
 )
 from afsat.oracle import oracle_complete, oracle_preferred
 from afsat.solver import builtin_session_factory
@@ -174,6 +174,29 @@ class TestAcceptance:
         assert skeptical_accept(CHAIN3, 3)
         assert not credulous_accept(CHAIN3, 2)
 
+    def test_skeptical_answer_from_either_semantics(self):
+        """A finished complete enumeration answers skeptical acceptance over
+        its subset-maximal members, the preferred extensions."""
+        for af in random_battery(14, 40, max_k=7):
+            preferred = enumerate_preferred(af)
+            complete = enumerate_complete(af)
+            oracle = oracle_preferred(af)
+            for a in range(1, af.k + 1):
+                want = all(a in s for s in oracle)
+                assert skeptical_answer(preferred, a) is want, (af, a)
+                assert skeptical_answer(complete, a) is want, (af, a)
+
+    def test_complete_semantics_is_not_preferred(self):
+        # a<->b, a->c, b->c, c->d: the empty set is complete, but d is in
+        # both preferred extensions, {a, d} and {b, d}
+        af = make_af("abcd", [("a", "b"), ("b", "a"), ("a", "c"),
+                              ("b", "c"), ("c", "d")])
+        d = af.index("d")
+        complete = enumerate_complete(af)
+        assert frozenset() in complete.extensions
+        assert skeptical_answer(complete, d) is True
+        assert skeptical_accept(af, d) is True
+
 
 class TestDeterminism:
     def test_repeat_runs_identical(self):
@@ -186,34 +209,90 @@ class TestDeterminism:
                 assert first.stats[key] == second.stats[key]
 
 
+# two disjoint 4-cycles: enumeration needs a few conflicts, so the
+# smallest budgets stop it after zero, one, two, ... extensions
+RINGS = make_af("abcdefgh", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
+                             ("e", "f"), ("f", "g"), ("g", "h"), ("h", "e")])
+# x4 is in no complete extension, but proving it takes more than one conflict
+UNREACHABLE = make_af(["x1", "x2", "x3", "x4"],
+                      [("x1", "x1"), ("x1", "x2"), ("x2", "x4"), ("x3", "x1"),
+                       ("x3", "x2"), ("x3", "x3")])
+
+
+def budgeted(budget):
+    return builtin_session_factory(conflict_budget=budget)
+
+
+def partial_runs(run, af):
+    """The results of ``run`` under every budget below the one that lets it
+    finish."""
+    partials = []
+    for budget in range(1, 1000):
+        result = run(af, session_factory=budgeted(budget))
+        if result.complete:
+            return partials
+        partials.append((budget, result))
+    raise AssertionError("no budget below 1000 finishes")
+
+
 class TestBudget:
-    def test_partial_result_surfaces(self):
-        # two disjoint 4-cycles: enumeration needs a few conflicts, so the
-        # smallest budgets stop it after zero, one, two, ... extensions
-        af = make_af("abcdefgh", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
-                                  ("e", "f"), ("f", "g"), ("g", "h"), ("h", "e")])
-        preferred = oracle_preferred(af)
+    @staticmethod
+    def partial_sizes(run, oracle):
+        """Checks every partial result of ``run`` on RINGS against the oracle;
+        returns the set of their extension counts."""
+        proven = oracle(RINGS)
         sizes = set()
-        for budget in range(1, 100):
-            try:
-                enumerate_preferred(
-                    af, session_factory=builtin_session_factory(
-                        conflict_budget=budget))
-            except EnumerationIncomplete as exc:
-                partial = exc.partial
-            else:
-                break
-            assert not partial.complete
+        for budget, partial in partial_runs(run, RINGS):
             assert partial.stats["sat_calls"] >= 1
             # never the empty fallback: every reported extension is proven
-            assert set(partial.extensions) <= preferred, budget
+            assert set(partial.extensions) <= proven, budget
             sizes.add(len(partial.extensions))
+        return sizes
+
+    def test_partial_result_surfaces(self):
+        sizes = self.partial_sizes(enumerate_preferred, oracle_preferred)
         assert 0 in sizes and len(sizes) > 1
 
+    def test_partial_complete_result_surfaces(self):
+        # complete models come without conflicts at first, so even the
+        # smallest budget proves some
+        sizes = self.partial_sizes(enumerate_complete, oracle_complete)
+        assert len(sizes) > 1
+
     def test_budget_large_enough_finishes(self):
-        result = enumerate_preferred(
-            MUTUAL, session_factory=builtin_session_factory(conflict_budget=10 ** 6))
-        assert result.complete
+        for run in (enumerate_preferred, enumerate_complete):
+            assert run(MUTUAL, session_factory=budgeted(10 ** 6)).complete
+
+    def test_credulous_out_of_budget(self):
+        x4, x2 = UNREACHABLE.index("x4"), UNREACHABLE.index("x2")
+        assert credulous_accept(UNREACHABLE, x4,
+                                session_factory=budgeted(1)) is None
+        assert credulous_accept(UNREACHABLE, x2,
+                                session_factory=budgeted(1)) is False
+        assert credulous_accept(UNREACHABLE, x4) is False
+
+    def test_skeptical_out_of_budget(self):
+        """A partial run rejects an argument that a proven extension lacks,
+        and answers None for the rest."""
+        answers = set()
+        for budget, partial in partial_runs(enumerate_preferred, RINGS):
+            for a in range(1, RINGS.k + 1):
+                want = False if any(a not in s for s in partial.extensions) \
+                    else None
+                assert skeptical_answer(partial, a) is want, (budget, a)
+                assert skeptical_accept(RINGS, a, session_factory=budgeted(
+                    budget)) is want, (budget, a)
+                answers.add(want)
+        assert answers == {False, None}
+
+    def test_partial_complete_run_answers_none(self):
+        """A proven complete extension may grow into a preferred one that
+        holds the argument, so a partial complete run decides nothing."""
+        runs = partial_runs(enumerate_complete, RINGS)
+        assert any(partial.extensions for _, partial in runs)
+        for _, partial in runs:
+            for a in range(1, RINGS.k + 1):
+                assert skeptical_answer(partial, a) is None
 
 
 class TestStats:

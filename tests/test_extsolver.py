@@ -39,6 +39,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExternalSolverConfig([])
 
+    @pytest.mark.parametrize("budget_s", [0, -1.5])
+    def test_budget_must_be_positive(self, budget_s):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            ref_config(budget_s=budget_s)
+        with pytest.raises(ValueError, match="budget must be positive"):
+            external_session_factory([sys.executable, REFDPLL],
+                                     budget_s=budget_s)
+
 
 class TestReferenceSolverAgreement:
     def test_random_formulas(self):

@@ -354,6 +354,12 @@ class TestFactory:
         s = make(f)
         assert s.solve()[1] is True
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_budget_must_be_positive(self, limit):
+        # 0 is not "unlimited": None is
+        with pytest.raises(ValueError, match="budget must be positive"):
+            builtin_session_factory(conflict_budget=limit)
+
     def test_budget_pool_spans_sessions(self):
         n, clauses = pigeonhole(5)
         f = CnfFormula(n, clauses)
