@@ -33,19 +33,19 @@ total = sum(n for *_, n in classes)
 print(f"scaled plan: {len(classes)} classes, {total} instances")
 
 # build a small suite on disk: one APX file per instance plus a manifest
-out = tempfile.mkdtemp(prefix="suite-")
-manifest = build_suite(out, base_seed=7,
-                       classes=[("demo", "probability", 8, 0.5, 3)])
-print("suite files:", sorted(os.listdir(out)))
+with tempfile.TemporaryDirectory(prefix="suite-") as out:
+    manifest = build_suite(out, base_seed=7,
+                           classes=[("demo", "probability", 8, 0.5, 3)])
+    print("suite files:", sorted(os.listdir(out)))
 
-# every manifest row carries what build_suite used, so any instance can
-# be regenerated independently and byte-compared
-row = manifest["instances"][0]
-print(json.dumps(row, indent=2, sort_keys=True))
-again = generate(row["method"], row["k"], row["param"], row["seed"])
-stored = load_manifest(out)
-assert stored["instances"][0] == row
-with open(os.path.join(out, row["path"])) as fh:
-    on_disk = fh.read()
+    # every manifest row carries what build_suite used, so any instance
+    # can be regenerated independently and byte-compared
+    row = manifest["instances"][0]
+    print(json.dumps(row, indent=2, sort_keys=True))
+    again = generate(row["method"], row["k"], row["param"], row["seed"])
+    stored = load_manifest(out)
+    assert stored["instances"][0] == row
+    with open(os.path.join(out, row["path"])) as fh:
+        on_disk = fh.read()
 from afsat.fileformats import serialize_apx
 print("regenerated == on disk:", serialize_apx(again) == on_disk)

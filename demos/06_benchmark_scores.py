@@ -18,25 +18,25 @@ from afsat.bench import ipc_score, manifest_groups, run_bench, success_rate
 from afsat.generators import build_suite
 
 # a throwaway suite: two sizes, two instances each
-suite = tempfile.mkdtemp(prefix="bench-")
-build_suite(suite, base_seed=5, classes=[
-    ("small", "probability", 10, 0.5, 2),
-    ("mid", "probability", 30, 0.5, 2),
-])
+with tempfile.TemporaryDirectory(prefix="bench-") as suite:
+    build_suite(suite, base_seed=5, classes=[
+        ("small", "probability", 10, 0.5, 2),
+        ("mid", "probability", 30, 0.5, 2),
+    ])
 
-# compare the default encoding against the backward-only one
-systems = ["C2:builtin", "C3:builtin"]
-out_csv = os.path.join(suite, "records.csv")
-records = run_bench(suite, systems, budget_s=60.0, out_csv=out_csv,
-                    progress=lambda r: print(" ", r))
+    # compare the default encoding against the backward-only one
+    systems = ["C2:builtin", "C3:builtin"]
+    out_csv = os.path.join(suite, "records.csv")
+    records = run_bench(suite, systems, budget_s=60.0, out_csv=out_csv,
+                        progress=lambda r: print(" ", r))
 
-# resume is free: a second call finds every run already recorded
-again = run_bench(suite, systems, budget_s=60.0, out_csv=out_csv)
-print("runs on disk:", len(again))
+    # resume is free: a second call finds every run already recorded
+    again = run_bench(suite, systems, budget_s=60.0, out_csv=out_csv)
+    print("runs on disk:", len(again))
 
-# scores, grouped by argument count
-from afsat.generators import load_manifest
-groups = manifest_groups(load_manifest(suite), "k")
+    # scores, grouped by argument count
+    from afsat.generators import load_manifest
+    groups = manifest_groups(load_manifest(suite), "k")
 print(ipc_score(records, budget_s=60.0, groups=groups).to_text())
 print(success_rate(records, groups=groups).to_text())
 

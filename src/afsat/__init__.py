@@ -57,10 +57,9 @@ _EXPORTS = {
     "parse_dimacs": "cnf",
     "satisfies": "cnf",
     "Solver": "solver",
-    "ConflictBudget": "solver",
+    "Budget": "solver",
     "BudgetExhausted": "solver",
     "builtin_session_factory": "solver",
-    "ExternalSolverConfig": "extsolver",
     "ExternalSession": "extsolver",
     "SolverProtocolError": "extsolver",
     "solve_external": "extsolver",

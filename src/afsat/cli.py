@@ -79,8 +79,7 @@ def _session_factory(args):
     if builtin:
         from .solver import builtin_session_factory
 
-        return builtin_session_factory(seed=args.seed,
-                                       conflict_budget=args.conflict_budget)
+        return builtin_session_factory(conflict_budget=args.conflict_budget)
     from .extsolver import external_session_factory
 
     return external_session_factory([backend[1]], budget_s=args.solver_budget)
@@ -307,7 +306,7 @@ def cmd_sat(args):
     from .solver import BudgetExhausted, builtin_session_factory
 
     formula = parse_dimacs(_read_text(args.input))
-    solver = builtin_session_factory(args.seed, args.conflict_budget)(formula)
+    solver = builtin_session_factory(args.conflict_budget)(formula)
     try:
         model = solver.solve()
     except BudgetExhausted:
@@ -339,13 +338,11 @@ def _add_solver_args(sub):
     sub.add_argument("--solver", default="builtin",
                      help="'builtin' or 'ext:<command>' for an external "
                           "DIMACS solver (default builtin)")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="branching perturbation seed for the built-in "
-                          "solver (default 0: none)")
     sub.add_argument("--conflict-budget", type=int, default=None,
-                     help="conflict limit for the built-in solver")
+                     help="conflicts for the whole run, built-in solver")
     sub.add_argument("--solver-budget", type=float, default=None,
-                     help="per-call wall-clock limit for an external solver")
+                     help="wall-clock seconds for the whole run, external "
+                          "solver")
 
 
 def build_parser():
@@ -453,7 +450,6 @@ def build_parser():
 
     p = subs.add_parser("sat", help="solve a DIMACS file directly")
     p.add_argument("input", help="DIMACS file, or - for stdin")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--conflict-budget", type=int, default=None)
     p.set_defaults(func=cmd_sat)
 

@@ -14,9 +14,10 @@ first query of a round is unsatisfiable the enumeration is finished; if
 nothing was ever found, the unique preferred extension is the empty set.
 
 The inner loop is correct for any model the solver happens to return, so
-any session backend (built-in, external, perturbed seeds) can drive it.
+any session backend, built-in or external, can drive it.
 
-A run whose session budget runs out is not an error: it returns the
+Every session of a run draws on one budget pool, conflicts or seconds by
+backend. A run whose pool runs out is not an error: it returns the
 extensions proven so far with ``complete`` False, and the acceptance
 functions answer None where such a run cannot decide.
 """

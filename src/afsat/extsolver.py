@@ -14,44 +14,31 @@ outcome the built-in solver uses, never as unsatisfiable.
 ``ExternalSession`` wraps the one-shot bridge in the session interface the
 enumeration code expects (``add_clause`` / ``solve(assumptions=())``) by
 keeping the clause list and re-emitting the whole accumulated formula on
-every call, with that call's assumptions added as unit clauses.
+every call, with that call's assumptions added as unit clauses. The
+sessions of one factory share one ``Budget`` pool of seconds, as the
+built-in solver's share one of conflicts: each call may run for what is
+left of it and then spends the wall time it took.
 """
 
 import os
 import subprocess
 import tempfile
+import time
 
 from .cnf import CnfFormula, normalize_clause, satisfies, to_dimacs
-from .solver import BudgetExhausted
+from .solver import Budget, BudgetExhausted
 
 
 class SolverProtocolError(RuntimeError):
     """The external solver produced unusable output."""
 
 
-class ExternalSolverConfig:
-    """How to run the external solver.
-
-    ``command`` is the executable plus fixed arguments; the DIMACS path is
-    appended as the final argument. ``budget_s`` is a wall-clock limit per
-    call (None for unlimited).
-    """
-
-    __slots__ = ("command", "budget_s")
-
-    def __init__(self, command, budget_s=None):
-        if isinstance(command, str):
-            command = [command]
-        if not command:
-            raise ValueError("empty solver command")
-        if budget_s is not None and budget_s <= 0:
-            raise ValueError("budget must be positive")
-        self.command = list(command)
-        self.budget_s = budget_s
-
-    def __repr__(self):
-        return (f"ExternalSolverConfig({self.command!r}, "
-                f"budget_s={self.budget_s!r})")
+def _command_list(command):
+    """The executable plus fixed arguments as a list; a string is one item."""
+    command = [command] if isinstance(command, str) else list(command)
+    if not command:
+        raise ValueError("empty solver command")
+    return command
 
 
 def _parse_output(stdout):
@@ -70,27 +57,30 @@ def _parse_output(stdout):
     return status, values
 
 
-def solve_external(config, formula):
+def solve_external(command, formula, timeout=None):
     """Run the external solver on a formula.
 
-    Returns a model (list indexed by variable) or None for unsatisfiable;
-    raises BudgetExhausted on timeout or an UNKNOWN verdict and
-    SolverProtocolError on anything unintelligible.
+    ``command`` is the executable plus fixed arguments; the DIMACS path is
+    appended as the final argument. ``timeout`` is a wall-clock limit in
+    seconds (None for unlimited). Returns a model (list indexed by
+    variable) or None for unsatisfiable; raises BudgetExhausted on timeout
+    or an UNKNOWN verdict and SolverProtocolError on anything
+    unintelligible.
     """
+    command = _command_list(command)
     fd, path = tempfile.mkstemp(suffix=".cnf", prefix="afsat-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(to_dimacs(formula))
         try:
-            proc = subprocess.run(config.command + [path],
-                                  capture_output=True, text=True,
-                                  timeout=config.budget_s)
+            proc = subprocess.run(command + [path], capture_output=True,
+                                  text=True, timeout=timeout)
         except subprocess.TimeoutExpired:
             raise BudgetExhausted(
-                f"external solver exceeded {config.budget_s}s") from None
+                f"external solver exceeded {timeout}s") from None
         except OSError as exc:
             raise SolverProtocolError(
-                f"cannot run {config.command[0]!r}: {exc}") from None
+                f"cannot run {command[0]!r}: {exc}") from None
     finally:
         os.unlink(path)
 
@@ -125,8 +115,9 @@ class ExternalSession:
     every solve() call, so external solvers need no incremental mode.
     """
 
-    def __init__(self, config, formula):
-        self._config = config
+    def __init__(self, command, formula, budget=None):
+        self._command = command
+        self._budget = budget
         self.num_vars = formula.num_vars
         self._clauses = list(formula.clauses)
         self._unsat = False
@@ -143,20 +134,36 @@ class ExternalSession:
 
     def solve(self, assumptions=()):
         """Model of the accumulated clauses plus the assumptions as units,
-        or None. The assumptions belong to this call only."""
+        or None. The assumptions belong to this call only. Raises
+        BudgetExhausted, without starting the solver, once the shared
+        budget has no seconds left."""
         if self._unsat:
             return None
+        budget = self._budget
+        timeout = None if budget is None else budget.remaining
+        if timeout is not None and timeout <= 0:
+            raise BudgetExhausted(f"budget of {budget.limit}s exhausted")
         self.stats["calls"] += 1
+        start = time.monotonic()
         formula = CnfFormula(self.num_vars,
                              self._clauses + [(lit,) for lit in assumptions])
-        return solve_external(self._config, formula)
+        try:
+            return solve_external(self._command, formula, timeout)
+        finally:
+            if budget is not None:
+                budget.spend(time.monotonic() - start)
 
 
 def external_session_factory(command, budget_s=None):
-    """Session factory running every SAT call through an external solver."""
-    config = ExternalSolverConfig(command, budget_s=budget_s)
+    """Session factory running every SAT call through an external solver.
+
+    Every session produced by one factory, across all of its solve()
+    calls, draws on a single pool of ``budget_s`` seconds when one is set.
+    """
+    command = _command_list(command)
+    budget = None if budget_s is None else Budget(budget_s)
 
     def make(formula):
-        return ExternalSession(config, formula)
+        return ExternalSession(command, formula, budget)
 
     return make

@@ -1,8 +1,10 @@
 """Random framework generators and benchmark suites.
 
-Randomness comes from numpy's PCG64, a named 64-bit generator whose streams
-are stable across platforms and numpy releases, so a (spec, seed) pair
-pins a framework byte for byte. Two attack models are provided:
+Randomness comes from numpy's PCG64, so a (spec, seed) pair pins a
+framework byte for byte under a given numpy. numpy promises stable streams
+across releases only for its bit generators, not for the ``Generator``
+methods used here (``random``, ``integers``; NEP 19). Owning the stream
+is the ROADMAP.md item "Drop numpy". Two attack models are provided:
 
 * probability: one independent uniform draw per ordered argument pair in
   row-major order, the pair attacking iff the draw is <= p_att;

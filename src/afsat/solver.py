@@ -3,43 +3,47 @@
 A deterministic conflict-driven clause-learning solver: two-watched-literal
 propagation, first-UIP conflict analysis, exponentially decayed variable
 activities with saved phases, and geometric restarts. Ties in branching
-always break toward the lowest variable index, so runs are reproducible;
-a nonzero seed perturbs the initial activities and phases for variance
-experiments.
+always break toward the lowest variable index, so runs are reproducible.
 
 Sessions are incremental in one direction only: clauses can be added
 between ``solve()`` calls, never removed. Restricted subproblems are solved
 under assumptions (MiniSat-style, Eén & Sörensson 2003): ``solve(lits)``
 decides the given literals first and holds only for that call, while
 every learned clause stays, since it follows from the clauses alone.
+
+A run is bounded by one ``Budget`` pool that every call of every session
+built by one factory draws on: conflicts here, wall-clock seconds for the
+external backend (``extsolver``).
 """
 
-import random
 from heapq import heapify, heappop, heappush
 
 from .cnf import normalize_clause
 
 
 class BudgetExhausted(RuntimeError):
-    """The conflict budget ran out before the call could finish."""
+    """The budget ran out before the call could finish."""
 
 
-class ConflictBudget:
-    """Pool of conflicts shared by every solve() call of the sessions that
-    hold it."""
+class Budget:
+    """Pool shared by every solve() call of the sessions that hold it, in
+    the unit of their backend: conflicts or seconds. ``remaining`` goes
+    negative once more than ``limit`` was spent."""
 
     __slots__ = ("limit", "used")
 
     def __init__(self, limit):
-        if limit < 1:
+        if limit <= 0:
             raise ValueError("budget must be positive")
         self.limit = limit
         self.used = 0
 
-    def spend(self, n=1):
+    @property
+    def remaining(self):
+        return self.limit - self.used
+
+    def spend(self, n):
         self.used += n
-        if self.used > self.limit:
-            raise BudgetExhausted(f"conflict budget of {self.limit} exhausted")
 
 
 class Solver:
@@ -49,7 +53,7 @@ class Solver:
     RESTART_MULT = 1.5
     VAR_DECAY = 0.95
 
-    def __init__(self, num_vars, seed=0, budget=None):
+    def __init__(self, num_vars, budget=None):
         if num_vars < 0:
             raise ValueError("negative variable count")
         n = num_vars
@@ -72,16 +76,11 @@ class Solver:
         self._budget = budget
         self.stats = {"decisions": 0, "propagations": 0, "conflicts": 0,
                       "restarts": 0}
-        if seed:
-            rng = random.Random(seed)
-            for v in range(1, n + 1):
-                self._activity[v] = rng.random() * 1e-4
-                self._phase[v] = rng.random() < 0.5
-        self._heap = [(-self._activity[v], v) for v in range(1, n + 1)]
-        heapify(self._heap)
+        # all activities start equal, so the heap is sorted by index
+        self._heap = [(0.0, v) for v in range(1, n + 1)]
 
     @classmethod
-    def from_formula(cls, formula, seed=0, budget=None):
+    def from_formula(cls, formula, budget=None):
         """Session over a CnfFormula.
 
         The formula's clauses are already range-checked, free of duplicate
@@ -90,7 +89,7 @@ class Solver:
         has propagated yet, so the first propagation sees every clause,
         including those whose watched literals the units falsify.
         """
-        s = cls(formula.num_vars, seed=seed, budget=budget)
+        s = cls(formula.num_vars, budget=budget)
         for clause in formula.clauses:
             if len(clause) == 1:
                 if not s._enqueue(clause[0], None):
@@ -313,13 +312,8 @@ class Solver:
                 self._assign(v if self._phase[v] else -v, None)
                 self.stats["decisions"] += 1
                 return
-        # stale heap (rare): fall back to the lowest unassigned index
-        for v in range(1, n + 1):
-            if val[v + n] is None:
-                self._trail_lim.append(len(self._trail))
-                self._assign(v if self._phase[v] else -v, None)
-                self.stats["decisions"] += 1
-                return
+        # every unassigned variable has an entry at its current activity:
+        # _bump and _backtrack push one, a rescale rebuilds them all
         raise AssertionError("decide called with a full assignment")
 
     def solve(self, assumptions=()):
@@ -350,11 +344,10 @@ class Solver:
             if confl is not None:
                 self.stats["conflicts"] += 1
                 if self._budget is not None:
-                    try:
-                        self._budget.spend(1)
-                    except BudgetExhausted:
+                    self._budget.spend(1)
+                    if self._budget.remaining < 0:
                         self._backtrack(0)
-                        raise
+                        raise BudgetExhausted("conflict budget exhausted")
                 if not trail_lim:
                     self._unsat = True
                     return None
@@ -399,16 +392,16 @@ class Solver:
                 self._decide()
 
 
-def builtin_session_factory(seed=0, conflict_budget=None):
+def builtin_session_factory(conflict_budget=None):
     """Session factory for enumeration runs.
 
     Every session produced by one factory, across all of its solve()
-    calls, draws on a single conflict budget pool when one is set.
+    calls, draws on a single pool of ``conflict_budget`` conflicts when
+    one is set.
     """
-    budget = (None if conflict_budget is None
-              else ConflictBudget(conflict_budget))
+    budget = None if conflict_budget is None else Budget(conflict_budget)
 
     def make(formula):
-        return Solver.from_formula(formula, seed=seed, budget=budget)
+        return Solver.from_formula(formula, budget=budget)
 
     return make

@@ -23,7 +23,7 @@ from afsat.cnf import (ENCODINGS, EncodingId, encode, satisfies,
 from afsat.constraints import classify_all, satisfies_terms, witness_battery
 from afsat.core import is_complete_labelling
 from afsat.enumeration import enumerate_preferred
-from afsat.extsolver import ExternalSolverConfig, solve_external
+from afsat.extsolver import solve_external
 from afsat.fileformats import serialize_apx
 from afsat.generators import (METHOD_COUNT, METHOD_PROBABILITY, build_suite,
                               gen_count, gen_empty, gen_full, gen_probability,
@@ -322,7 +322,7 @@ def test_criterion_6_encoding_ordering(capsys, scaled_bench):
 
 
 def test_criterion_7_solver_cross_validation(capsys, random_instances):
-    config = ExternalSolverConfig([sys.executable, REFDPLL])
+    command = [sys.executable, REFDPLL]
     formulas = []
     for af in random_instances["afs"]:
         formulas.extend(encode(af, enc) for enc in ENCODINGS)
@@ -341,7 +341,7 @@ def test_criterion_7_solver_cross_validation(capsys, random_instances):
         ours = Solver.from_formula(formula).solve()
         try:
             # the bridge re-verifies any claimed model before returning it
-            theirs = solve_external(config, formula)
+            theirs = solve_external(command, formula)
         except RuntimeError as exc:
             problems.append(f"formula {n}: external solve failed: {exc}")
             continue

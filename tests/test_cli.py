@@ -394,6 +394,25 @@ class TestEnumerate:
         assert code == 3
         assert json.loads(out)["complete"] is False
 
+    def test_solver_budget_bounds_the_whole_run(self, capsys, tmp_path):
+        # each call takes about 0.3 s, well inside 1.5 s, but the 19 calls
+        # of the full run take about 6 s
+        slow = tmp_path / "slow-refdpll"
+        slow.write_text(f"#!{sys.executable}\nimport runpy, time\n"
+                        "time.sleep(0.3)\n"
+                        f"runpy.run_path({REFDPLL!r}, run_name='__main__')\n")
+        slow.chmod(0o755)
+        text = rings_apx("ab", "cd", "ef")
+        path = af_file(tmp_path, text)
+        code, out, _ = run_cli(capsys, [
+            "enumerate", path, "--solver", f"ext:{slow}",
+            "--solver-budget", "1.5"])
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["complete"] is False
+        assert payload["stats"]["sat_calls"] < 19
+        assert_proven(parse(text), payload["extensions"])
+
     def test_bad_solver_value_is_input_error(self, capsys, tmp_path):
         path = af_file(tmp_path, MUTUAL_APX)
         code, _, err = run_cli(capsys, ["enumerate", path, "--solver", "wat"])
@@ -742,6 +761,17 @@ class TestUsageAndMeta:
         with pytest.raises(SystemExit) as info:
             main(["parse", path, "--to", "xml"])
         assert info.value.code == 1
+
+    @pytest.mark.parametrize("command", [
+        ["enumerate"], ["query", "--mode", "credulous", "--argument", "a"],
+        ["sat"]], ids=["enumerate", "query", "sat"])
+    def test_no_seed_flag(self, capsys, tmp_path, command):
+        # the built-in solver's search order is fixed; only generate is seeded
+        path = af_file(tmp_path, MUTUAL_APX)
+        with pytest.raises(SystemExit) as info:
+            main(command + [path, "--seed", "5"])
+        assert info.value.code == 1
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -19,7 +19,7 @@ from afsat.cnf import (
     to_dimacs,
 )
 from afsat.core import IN, OUT, UNDEC
-from afsat.extsolver import ExternalSession, ExternalSolverConfig
+from afsat.extsolver import ExternalSession
 from afsat.oracle import oracle_complete_labellings
 from afsat.solver import Solver
 
@@ -115,8 +115,7 @@ class TestNormalizeClause:
     ])
     def test_same_result_everywhere(self, lits, want):
         solver = Solver(3)
-        external = ExternalSession(ExternalSolverConfig("unused"),
-                                   CnfFormula(3))
+        external = ExternalSession("unused", CnfFormula(3))
         if want is ValueError:
             for add in (lambda c: normalize_clause(c, 3),
                         lambda c: CnfFormula(3, [c]),

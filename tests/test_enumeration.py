@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from afsat.cnf import ENCODINGS, EncodingId
+from afsat.cnf import ENCODINGS, CnfFormula, EncodingId
 from afsat.core import ArgumentationFramework
 from afsat.enumeration import (
     credulous_accept,
@@ -14,7 +14,7 @@ from afsat.enumeration import (
     skeptical_answer,
 )
 from afsat.oracle import oracle_complete, oracle_preferred
-from afsat.solver import builtin_session_factory
+from afsat.solver import Solver, builtin_session_factory
 
 from conftest import (
     CHAIN3,
@@ -138,16 +138,53 @@ class TestDisjointUnions:
                 assert len(got.extensions) == len(complete)
 
 
+class PermutedSession:
+    """Built-in session over the formula with its variables renamed by a
+    seeded permutation; clauses, assumptions and models are mapped through
+    it, so the solver meets the same problem in another variable order."""
+
+    def __init__(self, formula, seed):
+        n = formula.num_vars
+        order = list(range(1, n + 1))
+        random.Random(seed).shuffle(order)
+        self._to = [0] + order
+        self._solver = Solver.from_formula(CnfFormula(
+            n, [self._rename(c) for c in formula.clauses]))
+        self.models = []
+
+    def _rename(self, lits):
+        return [self._to[l] if l > 0 else -self._to[-l] for l in lits]
+
+    def add_clause(self, lits):
+        self._solver.add_clause(self._rename(lits))
+
+    def solve(self, assumptions=()):
+        model = self._solver.solve(self._rename(assumptions))
+        if model is not None:
+            model = [False] + [model[v] for v in self._to[1:]]
+            self.models.append(tuple(model))
+        return model
+
+
 class TestModelOrderRobustness:
     def test_any_seed_same_extensions(self):
         """The growth loop is correct whatever model the solver returns, so
-        perturbed search orders must not change the answer."""
+        other search orders must not change the answer."""
         for af in random_battery(55, 12, max_k=7):
             want = oracle_preferred(af)
+            orders = set()
             for seed in range(6):
-                got = enumerate_preferred(
-                    af, session_factory=builtin_session_factory(seed=seed))
+                sessions = []
+
+                def factory(formula):
+                    sessions.append(PermutedSession(formula, seed))
+                    return sessions[-1]
+
+                got = enumerate_preferred(af, session_factory=factory)
                 assert set(got.extensions) == want, (af, seed)
+                orders.add(tuple(m for s in sessions for m in s.models))
+            # the permutations did change which models were returned
+            assert len(orders) > 1 or len(want) <= 1, af
 
 
 class TestAcceptance:
