@@ -134,7 +134,9 @@ def cmd_enumerate(args):
     encoding = _encoding(args)
     run = (enumerate_preferred if args.semantics == "preferred"
            else enumerate_complete)
-    result = run(af, encoding, _session_factory(args))
+    # one factory, so one budget pool, for the run and all its queries
+    factory = _session_factory(args)
+    result = run(af, encoding, factory)
     exit_code = EXIT_OK if result.complete else EXIT_BUDGET
 
     payload = {
@@ -158,9 +160,15 @@ def cmd_enumerate(args):
     if args.credulous:
         credulous = queries["credulous"] = {}
         for name in args.credulous:
-            # each query solves on a fresh budget
-            credulous[name] = credulous_accept(af, af.index(name), encoding,
-                                               _session_factory(args))
+            a = af.index(name)
+            # a proven extension holding the argument answers without SAT,
+            # and so does a finished run that has none
+            if any(a in s for s in result.extensions):
+                credulous[name] = True
+            elif result.complete:
+                credulous[name] = False
+            else:
+                credulous[name] = credulous_accept(af, a, encoding, factory)
             if credulous[name] is None:
                 exit_code = EXIT_BUDGET
     if args.skeptical:

@@ -1,17 +1,32 @@
 """Preferred- and complete-extension enumeration through a SAT solver.
 
-Preferred extensions are found by maximizing complete extensions on one
-long-lived session. Each round first asks, without assumptions, for any
-not-yet-covered non-empty complete extension S. It then adds the clause
-"some argument outside S is in" and asks again under the assumptions "every
-member of S is in", which forces a strict in-set superset; this repeats
-until the solver reports none exists, and the last in-set found is
-subset-maximal, hence preferred. The growth clauses are added permanently:
-each excludes only subsets of the current S, which are subsets of the
-round's final extension, and the last one is exactly the clause that
-excludes that extension and all its subsets from later rounds. When the
-first query of a round is unsatisfiable the enumeration is finished; if
-nothing was ever found, the unique preferred extension is the empty set.
+A run first computes the grounded labelling in linear time: an argument
+is in once all its attackers are out, and out once one of its attackers
+is in; the rest are undecided. Every complete labelling agrees with the
+grounded one on the arguments it labels. A grounded in-argument attacks
+only out-arguments, so an argument the pass leaves undecided has all its
+attackers outside its weakly connected component (of the undecided
+arguments) labelled out. The complete (preferred) extensions are
+therefore the grounded in-set joined with one complete (preferred)
+extension of each component's induced subframework, in every
+combination. Only the components reach the solver, each on a session of
+its own from the run's one factory; a framework the grounded pass
+decides takes no SAT call at all.
+
+Preferred extensions of a component are found by maximizing complete
+extensions on one long-lived session. Each round first asks, without
+assumptions, for any not-yet-covered non-empty complete extension S. It
+then adds the clause "some argument outside S is in" and asks again under
+the assumptions "every member of S is in", which forces a strict in-set
+superset; this repeats until the solver reports none exists, and the last
+in-set found is subset-maximal, hence preferred. The growth clauses are
+added permanently: each excludes only subsets of the current S, which are
+subsets of the round's final extension, and the last one is exactly the
+clause that excludes that extension and all its subsets from later rounds.
+When the first query of a round is unsatisfiable the component is
+finished; if nothing was ever found, its unique preferred extension is the
+empty set. Complete extensions of a component are found by blocking each
+in-set projection in turn.
 
 The inner loop is correct for any model the solver happens to return, so
 any session backend, built-in or external, can drive it.
@@ -19,12 +34,18 @@ any session backend, built-in or external, can drive it.
 Every session of a run draws on one budget pool, conflicts or seconds by
 backend. A run whose pool runs out is not an error: it returns the
 extensions proven so far with ``complete`` False, and the acceptance
-functions answer None where such a run cannot decide.
+functions answer None where such a run cannot decide. The components are
+solved round-robin, first one extension from each, then each to the end,
+so that a partial run soon proves whole extensions: the products of the
+extensions each component has proven. ``stats`` are summed over the
+components.
 """
 
 import time
+from itertools import islice, product
 
 from .cnf import EncodingId, VarLayout, encode, model_in_args
+from .core import ArgumentationFramework
 from .solver import BudgetExhausted, Solver
 
 
@@ -57,99 +78,165 @@ def _sorted_extensions(af, extensions):
     return sorted(extensions, key=key)
 
 
+def grounded_labelling(af):
+    """The in- and out-sets of the grounded labelling, as two frozensets;
+    every other argument is undec. Linear in the attacks."""
+    live = [0] + [len(af.attackers(a)) for a in range(1, af.k + 1)]
+    todo = [a for a in range(1, af.k + 1) if not live[a]]
+    g_in, g_out = set(), set()
+    while todo:
+        a = todo.pop()
+        g_in.add(a)
+        for b in af.attackees(a):
+            if b in g_out:
+                continue
+            g_out.add(b)
+            for c in af.attackees(b):
+                live[c] -= 1  # one attacker fewer that is not yet out
+                if not live[c]:
+                    todo.append(c)
+    return frozenset(g_in), frozenset(g_out)
+
+
+def _components(af, decided, starts):
+    """The weakly connected components of the undecided arguments reached
+    from ``starts``, each as an ascending index list, in order of their
+    first start."""
+    seen = set(decided)
+    out = []
+    for a in starts:
+        if a in seen:
+            continue
+        seen.add(a)
+        component = [a]
+        for x in component:  # grows while it is walked
+            for y in af.attackers(x) + af.attackees(x):
+                if y not in seen:
+                    seen.add(y)
+                    component.append(y)
+        out.append(sorted(component))
+    return out
+
+
+def _subframework(af, component):
+    """The framework induced by an ascending index list; its argument i is
+    ``component[i - 1]``."""
+    local = {a: i for i, a in enumerate(component, start=1)}
+    return ArgumentationFramework(
+        [af.name(a) for a in component],
+        [(i, local[b]) for a, i in local.items()
+         for b in af.attackees(a) if b in local])
+
+
+def _preferred_of(sub, encoding, factory, stats):
+    """Preferred extensions of one component as each is proven; the empty
+    set once the search finishes without any."""
+    layout = VarLayout(sub.k)
+    all_args = frozenset(range(1, sub.k + 1))
+    session = factory(encode(sub, encoding, nonempty=True))
+    found = False
+    while True:
+        stats["outer_iterations"] += 1
+        assumptions = ()
+        candidate = None
+        while True:
+            stats["inner_iterations"] += 1
+            stats["sat_calls"] += 1
+            model = session.solve(assumptions)
+            if model is None:
+                break
+            candidate = model_in_args(layout, model)
+            # grow: require one more argument; when the candidate covers
+            # everything the clause is empty and correctly makes the
+            # session permanently unsatisfiable
+            session.add_clause([layout.in_var(a)
+                                for a in sorted(all_args - candidate)])
+            if candidate == all_args:
+                break
+            assumptions = [layout.in_var(a) for a in sorted(candidate)]
+        if candidate is None:
+            break
+        found = True
+        yield candidate
+    if not found:
+        yield frozenset()
+
+
+def _complete_of(sub, encoding, factory, stats):
+    """Complete extensions of one component, each blocked once proven."""
+    layout = VarLayout(sub.k)
+    all_args = frozenset(range(1, sub.k + 1))
+    session = factory(encode(sub, encoding, nonempty=False))
+    while True:
+        stats["inner_iterations"] += 1
+        stats["sat_calls"] += 1
+        model = session.solve()
+        if model is None:
+            return
+        s = model_in_args(layout, model)
+        yield s
+        session.add_clause([-layout.in_var(a) for a in sorted(s)]
+                           + [layout.in_var(a) for a in sorted(all_args - s)])
+
+
+def _run(af, semantics, encoding, session_factory, extensions_of):
+    """The grounded in-set joined with every combination of one extension
+    per component, as ``extensions_of`` proves them."""
+    factory = session_factory or Solver.from_formula
+    t0 = time.perf_counter()
+    g_in, g_out = grounded_labelling(af)
+    stats = {"sat_calls": 0, "inner_iterations": 0, "outer_iterations": 0}
+    components = _components(af, g_in | g_out, range(1, af.k + 1))
+    runs = [extensions_of(_subframework(af, c), encoding, factory, stats)
+            for c in components]
+    proven = [[] for _ in components]
+    complete = True
+    try:
+        # one extension from each component first (each has at least one),
+        # then each to its end, so that a partial run reports a product
+        # as soon as it can
+        for take in (1, None):
+            for component, run, found in zip(components, runs, proven):
+                for s in islice(run, take):
+                    found.append(frozenset(component[i - 1] for i in s))
+    except BudgetExhausted:
+        complete = False
+    extensions = [g_in.union(*parts) for parts in product(*proven)]
+    stats["wall_time_s"] = time.perf_counter() - t0
+    return EnumerationResult(semantics, encoding,
+                             _sorted_extensions(af, extensions), stats,
+                             complete)
+
+
 def enumerate_preferred(af, encoding=EncodingId.C2, session_factory=None):
     """All preferred extensions of a framework; a partial result when the
     session budget runs out."""
-    factory = session_factory or Solver.from_formula
-    layout = VarLayout(af.k)
-    all_args = frozenset(range(1, af.k + 1))
-    session = factory(encode(af, encoding, nonempty=True))
-    found = []
-    sat_calls = 0
-    inner_iterations = 0
-    outer_iterations = 0
-    t0 = time.perf_counter()
-    complete = True
-    try:
-        while True:
-            outer_iterations += 1
-            assumptions = ()
-            candidate = None
-            while True:
-                inner_iterations += 1
-                sat_calls += 1
-                model = session.solve(assumptions)
-                if model is None:
-                    break
-                candidate = model_in_args(layout, model)
-                # grow: require one more argument; when the candidate covers
-                # everything the clause is empty and correctly makes the
-                # session permanently unsatisfiable
-                session.add_clause([layout.in_var(a)
-                                    for a in sorted(all_args - candidate)])
-                if candidate == all_args:
-                    break
-                assumptions = [layout.in_var(a) for a in sorted(candidate)]
-            if candidate is None:
-                break
-            found.append(candidate)
-    except BudgetExhausted:
-        complete = False
-    # the empty set is preferred only when a finished run found nothing
-    if complete and not found:
-        found.append(frozenset())
-    stats = {"sat_calls": sat_calls,
-             "inner_iterations": inner_iterations,
-             "outer_iterations": outer_iterations,
-             "wall_time_s": time.perf_counter() - t0}
-    return EnumerationResult("preferred", encoding,
-                             _sorted_extensions(af, found), stats, complete)
+    return _run(af, "preferred", encoding, session_factory, _preferred_of)
 
 
 def enumerate_complete(af, encoding=EncodingId.C2, session_factory=None):
     """All complete extensions of a framework (the empty one included when
-    it is complete), by blocking each found in-set projection; a partial
-    result when the session budget runs out."""
-    factory = session_factory or Solver.from_formula
-    layout = VarLayout(af.k)
-    all_args = frozenset(range(1, af.k + 1))
-    session = factory(encode(af, encoding, nonempty=False))
-    found = []
-    sat_calls = 0
-    t0 = time.perf_counter()
-    complete = True
-    try:
-        while True:
-            sat_calls += 1
-            model = session.solve()
-            if model is None:
-                break
-            s = model_in_args(layout, model)
-            found.append(s)
-            blocking = ([-layout.in_var(a) for a in sorted(s)]
-                        + [layout.in_var(a) for a in sorted(all_args - s)])
-            session.add_clause(blocking)
-    except BudgetExhausted:
-        complete = False
-    stats = {"sat_calls": sat_calls,
-             "inner_iterations": sat_calls,
-             "outer_iterations": 0,
-             "wall_time_s": time.perf_counter() - t0}
-    return EnumerationResult("complete", encoding,
-                             _sorted_extensions(af, found), stats, complete)
+    it is complete); a partial result when the session budget runs out."""
+    return _run(af, "complete", encoding, session_factory, _complete_of)
 
 
 def credulous_accept(af, a, encoding=EncodingId.C2, session_factory=None):
     """True iff argument index a is in at least one preferred extension;
     None when the session budget runs out.
 
-    Membership in any complete extension suffices, so this is a single
-    satisfiability call with the argument forced in.
+    Membership in any complete extension suffices. The grounded labelling
+    decides the arguments it labels in or out without a SAT call; any
+    other argument takes one satisfiability call on its component, with
+    the argument forced in.
     """
+    g_in, g_out = grounded_labelling(af)
+    if a in g_in or a in g_out:
+        return a in g_in
+    component = _components(af, g_in | g_out, [a])[0]
+    sub = _subframework(af, component)
     factory = session_factory or Solver.from_formula
-    layout = VarLayout(af.k)
-    session = factory(encode(af, encoding, nonempty=True))
-    session.add_clause([layout.in_var(a)])
+    session = factory(encode(sub, encoding, nonempty=True))
+    session.add_clause([VarLayout(sub.k).in_var(component.index(a) + 1)])
     try:
         return session.solve() is not None
     except BudgetExhausted:

@@ -326,6 +326,8 @@ class Solver:
         assumptions. Only unsatisfiability without assumptions is
         permanent. Raises BudgetExhausted when the shared conflict budget
         runs out; the outcome is then unknown and the session stays usable.
+        A call that propagation alone refutes, before any decision, spends
+        no budget.
         """
         if self._unsat:
             return None
@@ -334,6 +336,11 @@ class Solver:
             if lit == 0 or abs(lit) > n:
                 raise ValueError(f"literal out of range: {lit}")
         self._backtrack(0)
+        if self._propagate() is not None:
+            # refuted by propagation alone: no search, so no budget spent
+            self.stats["conflicts"] += 1
+            self._unsat = True
+            return None
         val = self._val
         trail_lim = self._trail_lim
         num_assumptions = len(assumptions)

@@ -346,6 +346,51 @@ class TestEnumerate:
         assert json.loads(out)["queries"]["credulous"] == {"x4": None,
                                                            "x2": False}
 
+    def test_one_budget_pool_for_run_and_queries(self, capsys, tmp_path,
+                                                 monkeypatch):
+        """The run and every credulous query draw on one factory, and a
+        query that a proven extension answers builds no session."""
+        import afsat.solver
+
+        factories, sessions = [], []
+        real = afsat.solver.builtin_session_factory
+
+        def counting(*args, **kwargs):
+            make = real(*args, **kwargs)
+            factories.append(make)
+
+            def counted(formula):
+                sessions.append(formula)
+                return make(formula)
+            return counted
+
+        monkeypatch.setattr(afsat.solver, "builtin_session_factory",
+                            counting)
+        text = rings_apx("abcd", "efgh")
+        af = parse(text)
+        path = af_file(tmp_path, text)
+        queries = [flag for name in af.arguments
+                   for flag in ("--query-credulous", name)]
+        # the smallest budget that proves some extensions but not all
+        for budget in range(1, 100):
+            factories.clear()
+            sessions.clear()
+            code, out, _ = run_cli(capsys, [
+                "enumerate", path, "--conflict-budget", str(budget)]
+                + queries)
+            payload = json.loads(out)
+            if payload["extensions"] or payload["complete"]:
+                break
+        assert code == 3
+        assert payload["complete"] is False
+        proven = set().union(*payload["extensions"])
+        credulous = payload["queries"]["credulous"]
+        assert all(credulous[name] is True for name in proven)
+        assert len(factories) == 1
+        # a session per ring for the run, and one per query on an
+        # argument that no proven extension holds
+        assert len(sessions) == 2 + len(set(af.arguments) - proven)
+
     def test_skeptical_query_is_about_preferred(self, capsys, tmp_path):
         path = af_file(tmp_path, FORK_APX)
         for semantics in ("preferred", "complete"):
@@ -440,13 +485,19 @@ class TestQuery:
         text = rings_apx("abcd", "efgh", "xyz")
         af = parse(text)
         path = af_file(tmp_path, text)
-        budget = ["--conflict-budget", "5"]
-        code, out, _ = run_cli(capsys, ["enumerate", path] + budget + [
-            flag for name in af.arguments
-            for flag in ("--query-skeptical", name)])
+        queries = [flag for name in af.arguments
+                   for flag in ("--query-skeptical", name)]
+        # the smallest budget that proves some extensions but not all
+        for n in range(1, 100):
+            budget = ["--conflict-budget", str(n)]
+            code, out, _ = run_cli(capsys, ["enumerate", path] + budget
+                                   + queries)
+            payload = json.loads(out)
+            if payload["extensions"] or payload["complete"]:
+                break
         assert code == 3
-        assert json.loads(out)["complete"] is False
-        expected = json.loads(out)["queries"]["skeptical"]
+        assert payload["complete"] is False
+        expected = payload["queries"]["skeptical"]
         answers = {}
         for name in af.arguments:
             code, out, _ = run_cli(capsys, [

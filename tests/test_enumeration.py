@@ -10,6 +10,7 @@ from afsat.enumeration import (
     credulous_accept,
     enumerate_complete,
     enumerate_preferred,
+    grounded_labelling,
     skeptical_accept,
     skeptical_answer,
 )
@@ -54,12 +55,13 @@ class TestFrozenCases:
         assert result.stats == dict(result.stats, sat_calls=1,
                                     inner_iterations=1, outer_iterations=1)
 
-    def test_no_attacks_two_calls(self):
+    def test_no_attacks_no_sat_calls(self):
+        # every unattacked argument is grounded, so nothing reaches SAT
         af = make_af([f"x{i}" for i in range(40)], [])
         result = enumerate_preferred(af)
         assert result.extensions == (frozenset(range(1, 41)),)
-        assert result.stats["sat_calls"] == 2
-        assert result.stats["outer_iterations"] == 2
+        assert result.stats["sat_calls"] == 0
+        assert result.stats["outer_iterations"] == 0
 
     def test_extension_ordering(self):
         # size descending, then by member names
@@ -136,6 +138,103 @@ class TestDisjointUnions:
                 got = enumerate_complete(af, encoding=enc)
                 assert set(got.extensions) == complete, (af, enc)
                 assert len(got.extensions) == len(complete)
+
+
+def hubbed_union(rng):
+    """Random components joined only through grounded arguments: h1 -> h2,
+    h2 attacks one argument of every component and h1 may attack one
+    more, so the components separate once the grounded pass labels h1 in
+    and what it attacks out."""
+    components = [random_af(rng, max_k=3) for _ in range(rng.randint(2, 3))]
+    base = TestDisjointUnions.union(components)
+    h1, h2 = base.k + 1, base.k + 2
+    attacks = set(base.attacks) | {(h1, h2)}
+    offset = 0
+    for af in components:
+        attacks.add((h2, offset + rng.randint(1, af.k)))
+        if rng.random() < 0.5:
+            attacks.add((h1, offset + rng.randint(1, af.k)))
+        offset += af.k
+    return ArgumentationFramework(list(base.arguments) + ["h1", "h2"],
+                                  attacks)
+
+
+# x -> y, and y attacks into a 3-cycle and a mutual pair: x is in and y
+# out in every complete labelling, which leaves two components
+HUB = make_af("xyabcpq", [("x", "y"), ("y", "a"), ("y", "p"), ("a", "b"),
+                          ("b", "c"), ("c", "a"), ("p", "q"), ("q", "p")])
+
+
+class TestGroundedDecomposition:
+    def test_grounded_is_least_complete_extension(self):
+        for af in random_battery(31, 60, max_k=8):
+            g_in, g_out = grounded_labelling(af)
+            complete = oracle_complete(af)
+            assert g_in in complete, af
+            assert all(g_in <= s for s in complete), af
+            assert g_out == {b for a in g_in for b in af.attackees(a)}, af
+
+    def test_components_after_grounded_arguments(self):
+        result = enumerate_preferred(HUB)
+        assert names(HUB, result.extensions) == [["p", "x"], ["q", "x"]]
+        # the 3-cycle refutes a non-empty extension in one call; the pair
+        # takes five calls over three rounds, as MUTUAL does on its own
+        assert result.stats == dict(result.stats, sat_calls=6,
+                                    inner_iterations=6, outer_iterations=4)
+        assert set(enumerate_complete(HUB).extensions) == oracle_complete(HUB)
+
+    def test_hubbed_unions_match_oracle(self):
+        rng = random.Random(808)
+        for _ in range(15):
+            af = hubbed_union(rng)
+            preferred = oracle_preferred(af)
+            complete = oracle_complete(af)
+            for enc in ENCODINGS:
+                got = enumerate_preferred(af, encoding=enc)
+                assert set(got.extensions) == preferred, (af, enc)
+                assert len(got.extensions) == len(preferred)
+                got = enumerate_complete(af, encoding=enc)
+                assert set(got.extensions) == complete, (af, enc)
+                assert len(got.extensions) == len(complete)
+
+    def test_stats_sum_over_components(self):
+        pairs = TestDisjointUnions.union([MUTUAL] * 6)
+        result = enumerate_preferred(pairs)
+        assert set(result.extensions) == oracle_preferred(pairs)
+        assert len(result.extensions) == 64
+        assert result.stats == dict(result.stats, sat_calls=30,
+                                    inner_iterations=30, outer_iterations=18)
+
+    def test_disjoint_cycles_one_call_each(self):
+        cycles = TestDisjointUnions.union([CYCLE3] * 200)
+        result = enumerate_preferred(cycles)
+        assert result.extensions == (frozenset(),)
+        assert result.stats["sat_calls"] == 200
+
+    def test_credulous_on_hubbed_unions(self):
+        rng = random.Random(909)
+        for _ in range(15):
+            af = hubbed_union(rng)
+            preferred = oracle_preferred(af)
+            for a in range(1, af.k + 1):
+                want = any(a in s for s in preferred)
+                assert credulous_accept(af, a) == want, (af, a)
+
+    def test_credulous_grounded_arguments_take_no_sat_call(self):
+        formulas = []
+
+        def factory(formula):
+            formulas.append(formula)
+            return Solver.from_formula(formula)
+
+        for name, want in (("x", True), ("y", False)):
+            assert credulous_accept(HUB, HUB.index(name),
+                                    session_factory=factory) is want
+        assert formulas == []
+        # an undecided argument solves only its component: p and q
+        assert credulous_accept(HUB, HUB.index("p"),
+                                session_factory=factory) is True
+        assert [f.num_vars for f in formulas] == [6]
 
 
 class PermutedSession:
@@ -295,6 +394,23 @@ class TestBudget:
         # smallest budget proves some
         sizes = self.partial_sizes(enumerate_complete, oracle_complete)
         assert len(sizes) > 1
+
+    def test_partial_runs_of_three_components(self):
+        """Components are solved round-robin: a partial run reports the
+        product of what each has proven, even while the 3-cycle, whose
+        only preferred extension is empty, is still unfinished."""
+        af = make_af("abcdefghxyz", [
+            ("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("e", "f"),
+            ("f", "g"), ("g", "h"), ("h", "e"), ("x", "y"), ("y", "z"),
+            ("z", "x")])
+        for run, oracle in ((enumerate_preferred, oracle_preferred),
+                            (enumerate_complete, oracle_complete)):
+            proven = oracle(af)
+            products = 0
+            for budget, partial in partial_runs(run, af):
+                assert set(partial.extensions) <= proven, (run, budget)
+                products += bool(partial.extensions)
+            assert products, run
 
     def test_budget_large_enough_finishes(self):
         for run in (enumerate_preferred, enumerate_complete):
