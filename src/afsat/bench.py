@@ -37,17 +37,20 @@ CSV_HEADER = ["instance_id", "system_id", "outcome", "seconds"]
 
 
 class BenchRecord:
-    """One timed run of one system on one instance."""
+    """One timed run of one system on one instance. ``detail`` is the last
+    line a failed run wrote to stderr; it is not written to the CSV, so a
+    record read back from one has an empty detail."""
 
-    __slots__ = ("instance_id", "system_id", "outcome", "seconds")
+    __slots__ = ("instance_id", "system_id", "outcome", "seconds", "detail")
 
-    def __init__(self, instance_id, system_id, outcome, seconds):
+    def __init__(self, instance_id, system_id, outcome, seconds, detail=""):
         if outcome not in (OUTCOME_SOLVED, OUTCOME_TIMEOUT, OUTCOME_ERROR):
             raise ValueError(f"bad outcome: {outcome!r}")
         self.instance_id = instance_id
         self.system_id = system_id
         self.outcome = outcome
         self.seconds = float(seconds)
+        self.detail = detail
 
     def __repr__(self):
         return (f"BenchRecord({self.instance_id!r}, {self.system_id!r}, "
@@ -163,8 +166,8 @@ def run_bench(manifest, systems, budget_s, out_csv, repetitions=1, jobs=1,
 
         def work(task):
             rid, system_id, path = task
-            outcome, seconds, _ = run_one(system_id, path, budget_s)
-            return BenchRecord(rid, system_id, outcome, seconds)
+            return BenchRecord(rid, system_id,
+                               *run_one(system_id, path, budget_s))
 
         with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
             if jobs <= 1:

@@ -12,6 +12,11 @@ One binary, subcommand style:
 * sat        - plain DIMACS solving (the bridge target for self-hosted
                external-solver setups)
 
+Each call of ``main`` builds only the parser of the command it invokes
+(``COMMANDS`` holds one entry per command); the full eight-command tree is
+built only for ``--help``, ``--version``, a missing or an unknown command.
+Help text, usage lines and error messages are the same either way.
+
 Exit codes: 0 success, 1 usage error, 2 input error, 3 budget exhausted.
 JSON output is stable: keys sorted, fixed schemas, no timing fields unless
 requested, so identical inputs give byte-identical output.
@@ -287,8 +292,9 @@ def cmd_bench(args):
         raise ValueError("no systems given")
 
     def progress(rec):
+        detail = f": {rec.detail}" if rec.detail else ""
         print(f"  {rec.instance_id} {rec.system_id} {rec.outcome} "
-              f"{rec.seconds:.2f}s", file=sys.stderr)
+              f"{rec.seconds:.2f}s{detail}", file=sys.stderr)
 
     records = run_bench(manifest, systems, args.budget, args.out,
                         repetitions=args.repetitions, jobs=args.jobs,
@@ -353,31 +359,22 @@ def _add_solver_args(sub):
                           "solver")
 
 
-def build_parser():
-    parser = _Parser(prog="afsat",
-                     description="SAT-based preferred-extension tools for "
-                                 "abstract argumentation frameworks")
-    parser.add_argument("--version", action="version",
-                        version=f"afsat {__version__}")
-    subs = parser.add_subparsers(dest="cmd", required=True, metavar="COMMAND")
-
-    p = subs.add_parser("parse", help="validate and canonicalize a framework")
+def _add_parse_args(p):
     _add_input_args(p)
     p.add_argument("--to", choices=("json", "apx", "tgf"), default="json",
                    help="output form (default json)")
-    p.set_defaults(func=cmd_parse)
 
-    p = subs.add_parser("encode", help="emit the CNF encoding as DIMACS")
+
+def _add_encode_args(p):
     _add_input_args(p)
     p.add_argument("--encoding", default="C2",
                    help="encoding id (default C2)")
     p.add_argument("--without-nonempty", action="store_true",
                    help="omit the non-empty-extension clause")
     p.add_argument("--out", default=None, help="write to a file, not stdout")
-    p.set_defaults(func=cmd_encode)
 
-    p = subs.add_parser("enumerate",
-                        help="enumerate preferred or complete extensions")
+
+def _add_enumerate_args(p):
     _add_input_args(p)
     _add_solver_args(p)
     p.add_argument("--semantics", choices=("preferred", "complete"),
@@ -394,18 +391,17 @@ def build_parser():
                    dest="skeptical", metavar="ARG",
                    help="also report skeptical acceptance (in every "
                         "preferred extension, under either --semantics)")
-    p.set_defaults(func=cmd_enumerate)
 
-    p = subs.add_parser("query", help="acceptance of a single argument")
+
+def _add_query_args(p):
     _add_input_args(p)
     _add_solver_args(p)
     p.add_argument("--mode", choices=("credulous", "skeptical"),
                    required=True)
     p.add_argument("--argument", required=True, metavar="NAME")
-    p.set_defaults(func=cmd_query)
 
-    p = subs.add_parser("generate",
-                        help="random frameworks and benchmark suites")
+
+def _add_generate_args(p):
     p.add_argument("--out", default=None,
                    help="suite directory, or output file in single mode")
     p.add_argument("--scale", type=float, default=1.0,
@@ -425,17 +421,16 @@ def build_parser():
                    help="single mode: attack probability")
     p.add_argument("--n-att", type=int, default=None,
                    help="single mode: exact attack count (omit to draw it)")
-    p.set_defaults(func=cmd_generate)
 
-    p = subs.add_parser("classify",
-                        help="classify all 64 labelling-condition subsets")
+
+def _add_classify_args(p):
     p.add_argument("--text", action="store_true",
                    help="aligned text instead of JSON")
     p.add_argument("--no-witnesses", action="store_true",
                    help="skip the weakness witness search")
-    p.set_defaults(func=cmd_classify)
 
-    p = subs.add_parser("bench", help="timed system comparison over a suite")
+
+def _add_bench_args(p):
     p.add_argument("--manifest", required=True,
                    help="suite manifest (file or directory)")
     p.add_argument("--systems", required=True,
@@ -454,18 +449,58 @@ def build_parser():
                    help="ignore existing rows in the results CSV")
     p.add_argument("--verbose", action="store_true",
                    help="print each finished run to stderr")
-    p.set_defaults(func=cmd_bench)
 
-    p = subs.add_parser("sat", help="solve a DIMACS file directly")
+
+def _add_sat_args(p):
     p.add_argument("input", help="DIMACS file, or - for stdin")
     p.add_argument("--conflict-budget", type=int, default=None)
-    p.set_defaults(func=cmd_sat)
 
+
+# name -> (help, function adding the subcommand's arguments, handler), in
+# the order --help lists them
+COMMANDS = {
+    "parse": ("validate and canonicalize a framework",
+              _add_parse_args, cmd_parse),
+    "encode": ("emit the CNF encoding as DIMACS",
+               _add_encode_args, cmd_encode),
+    "enumerate": ("enumerate preferred or complete extensions",
+                  _add_enumerate_args, cmd_enumerate),
+    "query": ("acceptance of a single argument",
+              _add_query_args, cmd_query),
+    "generate": ("random frameworks and benchmark suites",
+                 _add_generate_args, cmd_generate),
+    "classify": ("classify all 64 labelling-condition subsets",
+                 _add_classify_args, cmd_classify),
+    "bench": ("timed system comparison over a suite",
+              _add_bench_args, cmd_bench),
+    "sat": ("solve a DIMACS file directly",
+            _add_sat_args, cmd_sat),
+}
+
+
+def build_parser(command=None):
+    """The ``afsat`` parser. When ``command`` names a subcommand, only that
+    subparser is added; otherwise (help, version, no or an unknown command)
+    all of them are, so that listings and errors name every command."""
+    parser = _Parser(prog="afsat",
+                     description="SAT-based preferred-extension tools for "
+                                 "abstract argumentation frameworks")
+    parser.add_argument("--version", action="version",
+                        version=f"afsat {__version__}")
+    subs = parser.add_subparsers(dest="cmd", required=True, metavar="COMMAND")
+    for name in [command] if command in COMMANDS else COMMANDS:
+        help_text, add_args, handler = COMMANDS[name]
+        p = subs.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # argparse costs milliseconds per subparser; build only the one invoked
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -45,13 +45,13 @@ class ArgumentationFramework:
         names = tuple(arguments)
         if not names:
             raise ValueError("a framework needs at least one argument")
-        seen = set()
-        for name in names:
+        index = {}
+        for i, name in enumerate(names, start=1):
             if not isinstance(name, str) or not _NAME_RE.match(name):
                 raise ValueError(f"bad argument name: {name!r}")
-            if name in seen:
+            if name in index:
                 raise ValueError(f"duplicate argument name: {name!r}")
-            seen.add(name)
+            index[name] = i
         k = len(names)
         pairs = set()
         for pair in attacks:
@@ -61,14 +61,14 @@ class ArgumentationFramework:
             pairs.add((int(i), int(j)))
         self.arguments = names
         self.attacks = frozenset(pairs)
-        self._index = {name: i for i, name in enumerate(names, start=1)}
+        self._index = index
         attackers = [[] for _ in range(k + 1)]
         attackees = [[] for _ in range(k + 1)]
         for i, j in sorted(pairs):
             attackers[j].append(i)
             attackees[i].append(j)
-        self._attackers = tuple(tuple(lst) for lst in attackers)
-        self._attackees = tuple(tuple(lst) for lst in attackees)
+        self._attackers = tuple(map(tuple, attackers))
+        self._attackees = tuple(map(tuple, attackees))
 
     @classmethod
     def from_names(cls, arguments, attack_names=()):

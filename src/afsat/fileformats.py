@@ -16,8 +16,11 @@ import re
 
 from .core import ArgumentationFramework
 
-_ARG_RE = re.compile(r"arg\(([A-Za-z0-9_]+)\)\.\Z")
-_ATT_RE = re.compile(r"att\(([A-Za-z0-9_]+),([A-Za-z0-9_]+)\)\.\Z")
+_NAME = r"[A-Za-z0-9_]+"
+_NAME_RE = re.compile(_NAME)
+# one APX statement, matched whole: groups (name, None, None) for an
+# argument, (None, attacker, target) for an attack
+_STATEMENT_RE = re.compile(rf"arg\(({_NAME})\)\.|att\(({_NAME}),({_NAME})\)\.")
 
 
 class ParseError(ValueError):
@@ -35,24 +38,26 @@ def parse_apx(text):
     names = []
     declared = set()
     attack_lines = []
+    statement = _STATEMENT_RE.fullmatch
     for lineno, raw in enumerate(text.splitlines(), 1):
-        stmt = raw.split("%", 1)[0]
-        stmt = "".join(stmt.split())
-        if not stmt:
-            continue
-        m = _ARG_RE.match(stmt)
-        if m:
-            name = m.group(1)
-            if name in declared:
-                raise ParseError(f"duplicate argument declaration: {name}", lineno)
+        m = statement(raw)
+        if m is None:
+            # only a line with a comment or whitespace can still be valid
+            stmt = "".join(raw.split("%", 1)[0].split())
+            if not stmt:
+                continue
+            m = statement(stmt)
+            if m is None:
+                raise ParseError(f"unrecognized statement: {raw.strip()!r}",
+                                 lineno)
+        name, a, b = m.groups()
+        if name is None:
+            attack_lines.append((lineno, a, b))
+        elif name in declared:
+            raise ParseError(f"duplicate argument declaration: {name}", lineno)
+        else:
             declared.add(name)
             names.append(name)
-            continue
-        m = _ATT_RE.match(stmt)
-        if m:
-            attack_lines.append((lineno, m.group(1), m.group(2)))
-            continue
-        raise ParseError(f"unrecognized statement: {raw.strip()!r}", lineno)
     if not names:
         raise ParseError("no arguments declared")
     index = {name: i for i, name in enumerate(names, 1)}
@@ -96,7 +101,7 @@ def parse_tgf(text):
         if not in_edges:
             if len(line.split()) != 1:
                 raise ParseError(f"expected one argument name: {raw.strip()!r}", lineno)
-            if not re.fullmatch(r"[A-Za-z0-9_]+", line):
+            if not _NAME_RE.fullmatch(line):
                 raise ParseError(f"bad argument name: {line!r}", lineno)
             if line in declared:
                 raise ParseError(f"duplicate argument name: {line}", lineno)

@@ -242,6 +242,19 @@ class TestRunner:
         assert [r.instance_id for r in read_records(out_csv)] == \
             [r.instance_id for r in back]
 
+    def test_run_bench_keeps_error_detail(self, tiny_suite, tmp_path):
+        out_csv = str(tmp_path / "failing.csv")
+        records = run_bench(tiny_suite, ["C2:ext:/nonexistent"], budget_s=60,
+                            out_csv=out_csv)
+        assert [r.outcome for r in records] == ["error", "error"]
+        assert all("/nonexistent" in r.detail for r in records)
+        # the CSV keeps its four columns, so a later run can resume from it
+        with open(out_csv) as fh:
+            assert fh.readlines()[1] == ",".join(CSV_HEADER) + "\n"
+        back = read_records(out_csv)
+        assert [(r.instance_id, r.outcome, r.detail) for r in back] == \
+            [(r.instance_id, "error", "") for r in records]
+
     def test_run_bench_repetitions(self, tiny_suite, tmp_path):
         out_csv = str(tmp_path / "reps.csv")
         records = run_bench(tiny_suite, ["C2:builtin"], budget_s=60,

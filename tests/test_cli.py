@@ -12,6 +12,7 @@ it runs only where a ``bdist_wheel`` command is available (the ``wheel``
 package, or setuptools 70.1 and later).
 """
 
+import argparse
 import importlib.metadata
 import importlib.util
 import io
@@ -26,7 +27,7 @@ import pytest
 
 import afsat
 from afsat import __version__
-from afsat.cli import main
+from afsat.cli import COMMANDS, build_parser, main
 from afsat.cnf import parse_dimacs
 from afsat.generators import METHOD_PROBABILITY, build_suite, generate
 from afsat.fileformats import parse, serialize_apx
@@ -724,6 +725,19 @@ class TestBenchCommand:
         with open(out_csv) as fh:
             assert len(fh.readlines()) == 6  # nothing re-run, nothing appended
 
+    def test_verbose_prints_error_detail(self, capsys, suite_dir, tmp_path):
+        code, _, err = run_cli(capsys, [
+            "bench", "--manifest", suite_dir, "--systems",
+            "C2:ext:/nonexistent", "--budget", "60", "--verbose",
+            "--out", str(tmp_path / "r.csv")])
+        assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert re.fullmatch(r"  probT-00[01] C2:ext:/nonexistent error "
+                                r"\d+\.\d\ds: afsat: error: .*/nonexistent.*",
+                                line), line
+
     def test_bad_system_spec_is_input_error(self, capsys, suite_dir, tmp_path):
         code, _, err = run_cli(capsys, [
             "bench", "--manifest", suite_dir, "--systems", "C2:magic",
@@ -794,6 +808,61 @@ class TestSat:
         code, out, _ = run_cli(capsys, ["sat", "-"])
         assert code == 0
         assert model_lits(out) == [-1]
+
+
+def subparsers(parser):
+    """Command name -> subparser, for the commands ``parser`` holds."""
+    [action] = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestParserPerCommand:
+    """main builds only the invoked command's subparser; it must read and
+    report exactly as the same subparser inside the full tree."""
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_same_help_and_usage_as_in_full_tree(self, command):
+        alone = build_parser(command)
+        full = subparsers(build_parser())[command]
+        single = subparsers(alone)[command]
+        assert single.format_help() == full.format_help()
+        assert single.format_usage() == full.format_usage()
+        assert alone.format_usage() == build_parser().format_usage()
+
+    def test_only_the_named_command_is_built(self):
+        assert list(subparsers(build_parser("sat"))) == ["sat"]
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        for command, (help_text, _, _) in COMMANDS.items():
+            assert re.search(rf"^    {command}\s+{re.escape(help_text)}$", out,
+                             re.MULTILINE), command
+
+    def test_query_lists_not_shared_between_calls(self, capsys, tmp_path):
+        path = af_file(tmp_path, MUTUAL_APX)
+        for name in ("a", "b"):
+            code, out, _ = run_cli(capsys, ["enumerate", path,
+                                            "--query-credulous", name])
+            assert code == 0
+            assert json.loads(out)["queries"] == {"credulous": {name: True}}
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: COMMAND"),
+        (["bogus"], "argument COMMAND: invalid choice: 'bogus' (choose from "
+                    "'parse', 'encode', 'enumerate', 'query', 'generate', "
+                    "'classify', 'bench', 'sat')"),
+    ], ids=["none", "unknown"])
+    def test_missing_or_unknown_command(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        assert capsys.readouterr().err == (
+            "usage: afsat [-h] [--version] COMMAND ...\n"
+            f"afsat: error: {message}\n")
 
 
 class TestUsageAndMeta:

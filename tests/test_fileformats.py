@@ -66,6 +66,32 @@ class TestApx:
         af = parse_apx("att(b,a).\narg(a).\narg(b).\n")
         assert af.has_attack(2, 1)
 
+    # lines that do not match as written: the comment is cut and every
+    # whitespace character removed before the statement is matched again
+    @pytest.mark.parametrize("text", [
+        "arg(a).\n arg( b ).\natt(a,\tb).\natt (b,a) .\n",
+        "arg(a). % first\narg(b).%\natt(a,b).\natt(b,a).   % back\n",
+        "arg(a).\r\narg(b).\r\n\r\natt(a,b).\r\n% note\r\natt(b,a).\r\n",
+        "\n  \narg(a).\n%\n\t\n% arg(c).\narg(b).\natt(a,b).\natt(b,a).",
+    ], ids=["spaces-and-tabs", "trailing-comments", "crlf", "blank-lines"])
+    def test_normalized_lines(self, text):
+        assert parse_apx(text) == MUTUAL
+
+    def test_whitespace_inside_a_name_is_removed(self):
+        assert parse_apx("arg(a b).\natt(a\tb,ab).\n") == \
+            parse_apx("arg(ab).\natt(ab,ab).\n")
+
+    def test_unrecognized_statement_after_matched_lines(self):
+        with pytest.raises(ParseError,
+                           match=r"^line 4: unrecognized statement: "
+                                 r"'att\(a b c\)\.'$"):
+            parse_apx("arg(a).\narg(b).\natt(a,b).\n  att(a b c).\n")
+
+    def test_unrecognized_statement_beats_undeclared_attack(self):
+        with pytest.raises(ParseError,
+                           match=r"^line 3: unrecognized statement: 'bogus\.'$"):
+            parse_apx("arg(a).\natt(a,c).\nbogus.\n")
+
 
 class TestTgf:
     def test_parse_sample(self):
