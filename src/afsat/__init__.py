@@ -68,6 +68,7 @@ _EXPORTS = {
     "enumerate_preferred": "enumeration",
     "enumerate_complete": "enumeration",
     "credulous_accept": "enumeration",
+    "credulous_answer": "enumeration",
     "skeptical_accept": "enumeration",
     "skeptical_answer": "enumeration",
     "gen_probability": "generators",

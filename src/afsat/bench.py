@@ -25,9 +25,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 
 from . import __version__
-from .cli import parse_backend
 from .cnf import encoding_from_string
 from .generators import instance_path, load_manifest
+from .solver import parse_backend
 
 OUTCOME_SOLVED = "solved"
 OUTCOME_TIMEOUT = "timeout"
@@ -107,17 +107,26 @@ def run_one(system_id, apx_path, budget_s):
 
 
 def read_records(csv_path):
-    """Read bench records back from a results CSV (comment lines skipped)."""
-    records = []
+    """Read bench records back from a results CSV (comment lines skipped).
+    A malformed row raises ValueError naming the file and the line."""
     with open(csv_path, newline="") as fh:
-        rows = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(rows, None)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header in {csv_path}: {header}")
-        for row in rows:
-            if not row:
-                continue
-            records.append(BenchRecord(row[0], row[1], row[2], float(row[3])))
+        lines = [(n, line) for n, line in enumerate(fh, 1)
+                 if not line.startswith("#")]
+    rows = csv.reader(line for _, line in lines)
+    header = next(rows, None)
+    if header != CSV_HEADER:
+        raise ValueError(f"unexpected CSV header in {csv_path}: {header}")
+    records = []
+    for row in rows:
+        if not row:
+            continue
+        try:
+            instance_id, system_id, outcome, seconds = row
+            records.append(BenchRecord(instance_id, system_id, outcome, seconds))
+        except ValueError as exc:
+            lineno = lines[rows.line_num - 1][0]
+            raise ValueError(
+                f"bad row in {csv_path}, line {lineno}: {exc}") from None
     return records
 
 
@@ -141,9 +150,8 @@ def run_bench(manifest, systems, budget_s, out_csv, repetitions=1, jobs=1,
     for s in systems:
         parse_system(s)  # validate early
 
-    done = []
-    if resume and os.path.exists(out_csv):
-        done = read_records(out_csv)
+    new_file = not (resume and os.path.exists(out_csv))
+    done = [] if new_file else read_records(out_csv)
     done_keys = {(r.instance_id, r.system_id) for r in done}
 
     tasks = []
@@ -155,7 +163,6 @@ def run_bench(manifest, systems, budget_s, out_csv, repetitions=1, jobs=1,
                 if (rid, system_id) not in done_keys:
                     tasks.append((rid, system_id, path))
 
-    new_file = not (resume and os.path.exists(out_csv))
     records = list(done)
     with open(out_csv, "a" if not new_file else "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -169,7 +176,8 @@ def run_bench(manifest, systems, budget_s, out_csv, repetitions=1, jobs=1,
             return BenchRecord(rid, system_id,
                                *run_one(system_id, path, budget_s))
 
-        with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
+        pool = ThreadPoolExecutor(max_workers=max(jobs, 1))
+        try:
             if jobs <= 1:
                 produced = map(work, tasks)  # in task order
             else:
@@ -183,6 +191,9 @@ def run_bench(manifest, systems, budget_s, out_csv, repetitions=1, jobs=1,
                 fh.flush()
                 if progress:
                     progress(rec)
+        finally:
+            # after an interrupt, queued runs are dropped, not started
+            pool.shutdown(cancel_futures=True)
     return records
 
 

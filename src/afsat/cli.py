@@ -61,17 +61,9 @@ def _encoding(args):
     return encoding_from_string(args.encoding)
 
 
-def parse_backend(spec):
-    """Solver backend spec ``builtin`` or ``ext:<command>`` as ``("builtin",)``
-    or ``("ext", command)``; None when the spec is neither."""
-    if spec == "builtin":
-        return ("builtin",)
-    if spec.startswith("ext:") and spec[4:]:
-        return ("ext", spec[4:])
-    return None
-
-
 def _session_factory(args):
+    from .solver import builtin_session_factory, parse_backend
+
     backend = parse_backend(args.solver)
     if backend is None:
         raise ValueError(f"bad --solver value: {args.solver!r} "
@@ -82,8 +74,6 @@ def _session_factory(args):
         flag = "--solver-budget" if builtin else "--conflict-budget"
         raise ValueError(f"{flag} does not apply to --solver {args.solver}")
     if builtin:
-        from .solver import builtin_session_factory
-
         return builtin_session_factory(conflict_budget=args.conflict_budget)
     from .extsolver import external_session_factory
 
@@ -132,8 +122,9 @@ def cmd_encode(args):
 
 
 def cmd_enumerate(args):
-    from .enumeration import (credulous_accept, enumerate_complete,
-                              enumerate_preferred, skeptical_answer)
+    from .enumeration import (credulous_accept, credulous_answer,
+                              enumerate_complete, enumerate_preferred,
+                              skeptical_answer)
 
     af = _read_af(args)
     encoding = _encoding(args)
@@ -166,13 +157,9 @@ def cmd_enumerate(args):
         credulous = queries["credulous"] = {}
         for name in args.credulous:
             a = af.index(name)
-            # a proven extension holding the argument answers without SAT,
-            # and so does a finished run that has none
-            if any(a in s for s in result.extensions):
-                credulous[name] = True
-            elif result.complete:
-                credulous[name] = False
-            else:
+            # a SAT call only where the run's extensions cannot tell
+            credulous[name] = credulous_answer(result, a)
+            if credulous[name] is None:
                 credulous[name] = credulous_accept(af, a, encoding, factory)
             if credulous[name] is None:
                 exit_code = EXIT_BUDGET

@@ -22,7 +22,7 @@ by index, attackers by index) so serialized output is byte-stable.
 from enum import Enum
 
 from .core import IN, OUT, UNDEC, Labelling
-from .constraints import Term
+from .constraints import MINIMAL_CORRECT, Term
 
 
 class VarLayout:
@@ -128,28 +128,20 @@ class EncodingId(Enum):
         return self.value
 
 
-ENCODINGS = (EncodingId.C1, EncodingId.C1A, EncodingId.C1B,
-             EncodingId.C1C, EncodingId.C2, EncodingId.C3)
+ENCODINGS = tuple(EncodingId)
 
-ENCODING_TERMS = {
-    EncodingId.C1: frozenset(Term),
-    EncodingId.C1A: frozenset({Term.IN_FWD, Term.IN_BWD,
-                               Term.OUT_FWD, Term.OUT_BWD}),
-    EncodingId.C1B: frozenset({Term.OUT_FWD, Term.OUT_BWD,
-                               Term.UNDEC_FWD, Term.UNDEC_BWD}),
-    EncodingId.C1C: frozenset({Term.IN_FWD, Term.IN_BWD,
-                               Term.UNDEC_FWD, Term.UNDEC_BWD}),
-    EncodingId.C2: frozenset({Term.IN_FWD, Term.OUT_FWD, Term.UNDEC_FWD}),
-    EncodingId.C3: frozenset({Term.IN_BWD, Term.OUT_BWD, Term.UNDEC_BWD}),
-}
+# C1 takes every term; C1a, C1b, C1c, C2 and C3 are the five minimal correct
+# subsets, which constraints.MINIMAL_CORRECT lists in that order.
+ENCODING_TERMS = {EncodingId.C1: frozenset(Term),
+                  **dict(zip(ENCODINGS[1:], MINIMAL_CORRECT))}
 
 
 def encoding_from_string(s):
-    for enc in ENCODINGS:
-        if enc.value == s:
-            return enc
-    raise ValueError(f"unknown encoding: {s!r} (expected one of "
-                     f"{', '.join(e.value for e in ENCODINGS)})")
+    try:
+        return EncodingId(s)
+    except ValueError:
+        raise ValueError(f"unknown encoding: {s!r} (expected one of "
+                         f"{', '.join(e.value for e in ENCODINGS)})") from None
 
 
 def _attacked_args(af):

@@ -49,11 +49,11 @@ class Term(Enum):
         return f"Term.{self.name}"
 
 
-TERMS = (Term.IN_FWD, Term.IN_BWD, Term.OUT_FWD, Term.OUT_BWD,
-         Term.UNDEC_FWD, Term.UNDEC_BWD)
+TERMS = tuple(Term)
 
 # The five minimal correct subsets: both directions of two conditions, or
-# the same direction of all three.
+# the same direction of all three. They are the term sets of the encodings
+# C1a, C1b, C1c, C2 and C3, in that order (cnf.ENCODING_TERMS).
 MINIMAL_CORRECT = (
     frozenset({Term.IN_FWD, Term.IN_BWD, Term.OUT_FWD, Term.OUT_BWD}),
     frozenset({Term.OUT_FWD, Term.OUT_BWD, Term.UNDEC_FWD, Term.UNDEC_BWD}),
@@ -115,25 +115,22 @@ def witness_battery(max_args=3):
     return tuple(battery)
 
 
-def find_witness(terms, max_args=3, escalate_to=4):
+def find_witness(terms):
     """A (framework, labelling) pair satisfying the terms but not complete.
 
-    Searches the small-framework battery in a fixed order so witnesses are
-    stable. Escalates the battery size once if needed; raises LookupError
-    when no witness exists up to the escalation bound.
+    Searches the frameworks of up to three arguments in a fixed order, so
+    witnesses are stable (every weak subset has one on at most two); raises
+    LookupError when there is none, as for every correct subset.
     """
     terms = frozenset(terms)
-    for bound in (max_args, escalate_to):
-        for af in witness_battery(bound):
-            for lab in all_labellings(af.k):
-                if (satisfies_terms(af, lab, terms)
-                        and not is_complete_labelling(af, lab)):
-                    return af, lab
-        if bound == escalate_to:
-            break
+    for af in witness_battery(3):
+        for lab in all_labellings(af.k):
+            if (satisfies_terms(af, lab, terms)
+                    and not is_complete_labelling(af, lab)):
+                return af, lab
     raise LookupError(
         f"no witness for {sorted(t.value for t in terms)} on frameworks "
-        f"with up to {escalate_to} arguments")
+        "with up to 3 arguments")
 
 
 class Classification:

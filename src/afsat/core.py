@@ -24,7 +24,9 @@ LABELS = (IN, OUT, UNDEC)
 # caller raises the cap explicitly.
 SIZE_CAP = 20
 
-_NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+# argument-name syntax; both file formats build their patterns from it
+NAME_PATTERN = r"[A-Za-z0-9_]+"
+NAME_RE = re.compile(NAME_PATTERN)
 
 
 class SizeCapExceeded(RuntimeError):
@@ -47,7 +49,7 @@ class ArgumentationFramework:
             raise ValueError("a framework needs at least one argument")
         index = {}
         for i, name in enumerate(names, start=1):
-            if not isinstance(name, str) or not _NAME_RE.match(name):
+            if not isinstance(name, str) or not NAME_RE.fullmatch(name):
                 raise ValueError(f"bad argument name: {name!r}")
             if name in index:
                 raise ValueError(f"duplicate argument name: {name!r}")

@@ -243,6 +243,15 @@ def credulous_accept(af, a, encoding=EncodingId.C2, session_factory=None):
         return None
 
 
+def credulous_answer(result, a):
+    """Whether argument index a is in some preferred extension, read off an
+    enumeration result of either semantics (every complete extension lies
+    inside a preferred one); None when a partial result cannot tell."""
+    if any(a in s for s in result.extensions):
+        return True
+    return False if result.complete else None
+
+
 def skeptical_answer(result, a):
     """Whether argument index a is in every preferred extension, read off
     an enumeration result; None when a partial result cannot tell. A

@@ -7,17 +7,15 @@ Two formats are supported:
 * the trivial-graph edge-list format: one argument name per line, a single
   ``#`` separator line, then ``attacker target`` lines.
 
-Argument names are restricted to ``[A-Za-z0-9_]`` in both formats. Parsers
+Argument names follow ``core.NAME_PATTERN`` in both formats. Parsers
 report 1-based line numbers on error; serializers are byte-deterministic
 (declaration order for arguments, sorted index pairs for attacks).
 """
 
 import re
 
-from .core import ArgumentationFramework
+from .core import NAME_PATTERN as _NAME, NAME_RE, ArgumentationFramework
 
-_NAME = r"[A-Za-z0-9_]+"
-_NAME_RE = re.compile(_NAME)
 # one APX statement, matched whole: groups (name, None, None) for an
 # argument, (None, attacker, target) for an attack
 _STATEMENT_RE = re.compile(rf"arg\(({_NAME})\)\.|att\(({_NAME}),({_NAME})\)\.")
@@ -35,8 +33,7 @@ class ParseError(ValueError):
 
 def parse_apx(text):
     """Parse statement-format text into a framework."""
-    names = []
-    declared = set()
+    index = {}  # name -> 1-based index, in declaration order
     attack_lines = []
     statement = _STATEMENT_RE.fullmatch
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -53,14 +50,12 @@ def parse_apx(text):
         name, a, b = m.groups()
         if name is None:
             attack_lines.append((lineno, a, b))
-        elif name in declared:
+        elif name in index:
             raise ParseError(f"duplicate argument declaration: {name}", lineno)
         else:
-            declared.add(name)
-            names.append(name)
-    if not names:
+            index[name] = len(index) + 1
+    if not index:
         raise ParseError("no arguments declared")
-    index = {name: i for i, name in enumerate(names, 1)}
     attacks = []
     for lineno, a, b in attack_lines:
         if a not in index:
@@ -68,7 +63,7 @@ def parse_apx(text):
         if b not in index:
             raise ParseError(f"attack references undeclared argument: {b}", lineno)
         attacks.append((index[a], index[b]))
-    return ArgumentationFramework(names, attacks)
+    return ArgumentationFramework(tuple(index), attacks)
 
 
 def serialize_apx(af):
@@ -81,12 +76,9 @@ def serialize_apx(af):
 
 def parse_tgf(text):
     """Parse edge-list text into a framework."""
-    names = []
-    declared = set()
+    index = {}  # name -> 1-based index, in declaration order
     attacks = []
-    in_edges = False
     separator_seen = False
-    index = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -95,18 +87,15 @@ def parse_tgf(text):
             if separator_seen:
                 raise ParseError("second separator line", lineno)
             separator_seen = True
-            in_edges = True
-            index = {name: i for i, name in enumerate(names, 1)}
             continue
-        if not in_edges:
+        if not separator_seen:
             if len(line.split()) != 1:
                 raise ParseError(f"expected one argument name: {raw.strip()!r}", lineno)
-            if not _NAME_RE.fullmatch(line):
+            if not NAME_RE.fullmatch(line):
                 raise ParseError(f"bad argument name: {line!r}", lineno)
-            if line in declared:
+            if line in index:
                 raise ParseError(f"duplicate argument name: {line}", lineno)
-            declared.add(line)
-            names.append(line)
+            index[line] = len(index) + 1
         else:
             parts = line.split()
             if len(parts) != 2:
@@ -119,9 +108,9 @@ def parse_tgf(text):
             attacks.append((index[a], index[b]))
     if not separator_seen:
         raise ParseError("missing '#' separator line")
-    if not names:
+    if not index:
         raise ParseError("no arguments declared")
-    return ArgumentationFramework(names, attacks)
+    return ArgumentationFramework(tuple(index), attacks)
 
 
 def serialize_tgf(af):

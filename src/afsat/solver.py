@@ -399,6 +399,16 @@ class Solver:
                 self._decide()
 
 
+def parse_backend(spec):
+    """Solver backend spec ``builtin`` or ``ext:<command>`` as ``("builtin",)``
+    or ``("ext", command)``; None when the spec is neither."""
+    if spec == "builtin":
+        return ("builtin",)
+    if spec.startswith("ext:") and spec[4:]:
+        return ("ext", spec[4:])
+    return None
+
+
 def builtin_session_factory(conflict_budget=None):
     """Session factory for enumeration runs.
 

@@ -1,12 +1,17 @@
 """Benchmark harness: system specs, scoring arithmetic, the runner."""
 
 import math
+import os
+import re
+import subprocess
 import sys
 import tempfile
 import time
 
 import pytest
 
+import afsat
+from afsat import bench
 from afsat.bench import (
     BenchRecord,
     CSV_HEADER,
@@ -278,8 +283,60 @@ class TestRunner:
             run_bench(tiny_suite, ["C2:wat"], budget_s=60,
                       out_csv=str(tmp_path / "y.csv"))
 
+    def test_run_bench_interrupted_drops_queued_runs(self, tiny_suite,
+                                                     tmp_path, monkeypatch):
+        """An interrupt in the write loop cancels the runs still queued;
+        only the runs already started finish, and their rows are not
+        written."""
+        started = []
+
+        def fake_run_one(system_id, apx_path, budget_s):
+            started.append(apx_path)
+            time.sleep(0.0 if len(started) == 1 else 0.5)
+            return "solved", 0.1, ""
+
+        def interrupt(rec):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(bench, "run_one", fake_run_one)
+        out_csv = str(tmp_path / "interrupted.csv")
+        jobs = 2
+        with pytest.raises(KeyboardInterrupt):
+            run_bench(tiny_suite, ["C2:builtin"], budget_s=60,
+                      out_csv=out_csv, repetitions=6, jobs=jobs,
+                      progress=interrupt)
+        assert 1 <= len(started) <= jobs + 1  # of 12 runs
+        back = read_records(out_csv)
+        assert len(back) == 1  # the one record handed to progress
+
+    @pytest.mark.parametrize("row", [
+        "probT-000,C2:bui",
+        "probT-000,C2:builtin,solved,1.0,extra",
+        "probT-000,C2:builtin,solved,fast",
+        "probT-000,C2:builtin,maybe,1.0",
+    ], ids=["truncated", "extra-field", "bad-seconds", "bad-outcome"])
+    def test_read_records_rejects_malformed_row(self, tmp_path, row):
+        p = tmp_path / "results.csv"
+        p.write_text("# afsat bench\n" + ",".join(CSV_HEADER) + "\n"
+                     "probT-001,C2:builtin,solved,0.5\n\n" + row + "\n")
+        with pytest.raises(ValueError,
+                           match=rf"^bad row in {re.escape(str(p))}, "
+                                 r"line 5: "):
+            read_records(str(p))
+
     def test_read_records_rejects_other_csv(self, tmp_path):
         p = tmp_path / "other.csv"
         p.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
             read_records(str(p))
+
+
+def test_import_leaves_cli_unloaded():
+    """The library's harness does not load the command-line module."""
+    code = "import sys, afsat.bench; print('afsat.cli' in sys.modules)"
+    package_parent = os.path.dirname(os.path.dirname(afsat.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ,
+                                              PYTHONPATH=package_parent))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

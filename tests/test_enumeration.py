@@ -8,6 +8,7 @@ from afsat.cnf import ENCODINGS, CnfFormula, EncodingId
 from afsat.core import ArgumentationFramework
 from afsat.enumeration import (
     credulous_accept,
+    credulous_answer,
     enumerate_complete,
     enumerate_preferred,
     grounded_labelling,
@@ -312,7 +313,8 @@ class TestAcceptance:
 
     def test_skeptical_answer_from_either_semantics(self):
         """A finished complete enumeration answers skeptical acceptance over
-        its subset-maximal members, the preferred extensions."""
+        its subset-maximal members, the preferred extensions, and credulous
+        acceptance over all its members."""
         for af in random_battery(14, 40, max_k=7):
             preferred = enumerate_preferred(af)
             complete = enumerate_complete(af)
@@ -321,6 +323,9 @@ class TestAcceptance:
                 want = all(a in s for s in oracle)
                 assert skeptical_answer(preferred, a) is want, (af, a)
                 assert skeptical_answer(complete, a) is want, (af, a)
+                want = any(a in s for s in oracle)
+                assert credulous_answer(preferred, a) is want, (af, a)
+                assert credulous_answer(complete, a) is want, (af, a)
 
     def test_complete_semantics_is_not_preferred(self):
         # a<->b, a->c, b->c, c->d: the empty set is complete, but d is in
@@ -426,13 +431,17 @@ class TestBudget:
 
     def test_skeptical_out_of_budget(self):
         """A partial run rejects an argument that a proven extension lacks,
-        and answers None for the rest."""
+        and answers None for the rest; credulously it accepts an argument
+        that a proven extension holds."""
         answers = set()
         for budget, partial in partial_runs(enumerate_preferred, RINGS):
             for a in range(1, RINGS.k + 1):
                 want = False if any(a not in s for s in partial.extensions) \
                     else None
                 assert skeptical_answer(partial, a) is want, (budget, a)
+                assert credulous_answer(partial, a) is (
+                    True if any(a in s for s in partial.extensions)
+                    else None), (budget, a)
                 assert skeptical_accept(RINGS, a, session_factory=budgeted(
                     budget)) is want, (budget, a)
                 answers.add(want)

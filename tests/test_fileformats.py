@@ -92,6 +92,12 @@ class TestApx:
                            match=r"^line 3: unrecognized statement: 'bogus\.'$"):
             parse_apx("arg(a).\natt(a,c).\nbogus.\n")
 
+    def test_undeclared_attacker(self):
+        with pytest.raises(ParseError,
+                           match=r"^line 2: attack references undeclared "
+                                 r"argument: b$"):
+            parse_apx("arg(a).\natt(b,a).\n")
+
 
 class TestTgf:
     def test_parse_sample(self):
@@ -118,6 +124,25 @@ class TestTgf:
             parse_tgf("a\n#\na b\n")
         with pytest.raises(ParseError, match="bad argument name"):
             parse_tgf("a-b\n#\n")
+
+    # each error keeps its message and the line it names; blank lines are
+    # skipped but still counted
+    @pytest.mark.parametrize("text, message", [
+        ("a\n\n#\n\na c\n",
+         "line 5: attack references undeclared argument: c"),
+        ("a\n#\nb a\n", "line 3: attack references undeclared argument: b"),
+        ("a\nb c\n#\n", "line 2: expected one argument name: 'b c'"),
+        ("#\n", "no arguments declared"),
+        ("\n#\n\n", "no arguments declared"),
+    ], ids=["blank-lines", "undeclared-attacker", "two-names",
+            "separator-only", "blank-and-separator"])
+    def test_error_messages(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_tgf(text)
+        assert str(err.value) == message
+
+    def test_blank_lines_are_skipped(self):
+        assert parse_tgf("\na\n\nb\n\n#\n\na b\n\nb a\n\n") == MUTUAL
 
 
 class TestDispatch:

@@ -151,6 +151,32 @@ class TestAgainstTruthTable:
                               for v in range(1, num_vars + 1)])
             assert seen == set(tt_models(num_vars, clauses))
 
+    def test_activity_rescale(self):
+        """With the activity increment near its 1e100 limit, conflicts
+        rescale every activity mid-search. Verdicts and models stay right,
+        and every unassigned variable keeps a heap entry at its activity,
+        which is what decisions rely on."""
+        rng = random.Random(1100)
+        rescaled = 0
+        for _ in range(100):
+            # random 3-CNF near the satisfiability threshold, so that most
+            # calls meet conflicts and about one in five is unsatisfiable
+            num_vars = rng.randint(6, 10)
+            clauses = [[v if rng.random() < 0.5 else -v
+                        for v in rng.sample(range(1, num_vars + 1), 3)]
+                       for _ in range(round(4.3 * num_vars))]
+            s = Solver(num_vars)
+            for c in clauses:
+                s.add_clause(c)
+            s._var_inc = 1e100
+            check(s, num_vars, clauses)
+            rescaled += s._var_inc < 1e100
+            entries = set(s._heap)
+            for v in range(1, num_vars + 1):
+                if s._val[v + num_vars] is None:
+                    assert (-s._activity[v], v) in entries, v
+        assert rescaled >= 50
+
 
 class TestDeterminism:
     def test_same_run_twice(self):
