@@ -3,8 +3,10 @@
 A *system* is an encoding plus a solver backend, written ``C2:builtin`` or
 ``C1:ext:/path/to/solver``. Every (instance, system) run happens in a fresh
 subprocess (the package's own CLI) under a wall-clock budget, with hard
-kill on overrun, and is appended to a CSV as soon as it finishes so an
-interrupted campaign resumes where it stopped.
+kill on overrun. The budget must be positive and finite. Runs go one at a
+time, so no run's time includes load from another. Each is appended to a
+CSV as soon as it finishes so an interrupted campaign resumes where it
+stopped; a CSV resumes only under the budget it was written with.
 
 Scoring follows the planning-competition speed rule: a case is valid when
 at least one system solved it; with T* the fastest solving time on that
@@ -22,7 +24,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 
 from . import __version__
 from .cnf import encoding_from_string
@@ -134,23 +135,36 @@ def _rep_id(instance_id, rep):
     return instance_id if rep == 0 else f"{instance_id}@r{rep + 1}"
 
 
-def run_bench(manifest, systems, budget_s, out_csv, repetitions=1, jobs=1,
+def run_bench(manifest, systems, budget_s, out_csv, repetitions=1,
               resume=True, progress=None):
-    """Run every system on every manifest instance; returns all records.
+    """Run every system on every manifest instance, one run at a time;
+    returns all records.
 
     ``manifest`` is a loaded suite manifest or a path to one. Existing rows
-    in ``out_csv`` are kept and their runs skipped when ``resume`` is set.
+    in ``out_csv`` are kept and their runs skipped when ``resume`` is set;
+    a CSV whose first line names another budget raises ValueError.
     ``progress`` (optional) is called with each new BenchRecord.
     """
     if isinstance(manifest, (str, os.PathLike)):
         manifest = load_manifest(manifest)
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    if not 0 < budget_s < math.inf:  # NaN fails this too
+        raise ValueError(f"budget must be positive and finite: {budget_s}")
     systems = list(systems)
-    for s in systems:
+    for i, s in enumerate(systems):
         parse_system(s)  # validate early
+        if s in systems[:i]:  # it would score twice on every case
+            raise ValueError(f"system listed twice: {s}")
 
     new_file = not (resume and os.path.exists(out_csv))
+    if not new_file:
+        # the first line, when this module wrote it, names the budget
+        with open(out_csv) as fh:
+            old = fh.readline().partition("; budget_s=")[2].strip()
+        if old and float(old) != budget_s:
+            raise ValueError(f"{out_csv} holds runs under budget_s={old}; "
+                             f"it cannot resume under budget_s={budget_s}")
     done = [] if new_file else read_records(out_csv)
     done_keys = {(r.instance_id, r.system_id) for r in done}
 
@@ -170,30 +184,15 @@ def run_bench(manifest, systems, budget_s, out_csv, repetitions=1, jobs=1,
             fh.write(f"# afsat {__version__} bench; budget_s={budget_s}\n")
             writer.writerow(CSV_HEADER)
             fh.flush()
-
-        def work(task):
-            rid, system_id, path = task
-            return BenchRecord(rid, system_id,
-                               *run_one(system_id, path, budget_s))
-
-        pool = ThreadPoolExecutor(max_workers=max(jobs, 1))
-        try:
-            if jobs <= 1:
-                produced = map(work, tasks)  # in task order
-            else:
-                produced = (fut.result() for fut in as_completed(
-                    [pool.submit(work, t) for t in tasks]))
-            # only this thread touches the CSV and the record list
-            for rec in produced:
-                records.append(rec)
-                writer.writerow([rec.instance_id, rec.system_id, rec.outcome,
-                                 f"{rec.seconds:.6f}"])
-                fh.flush()
-                if progress:
-                    progress(rec)
-        finally:
-            # after an interrupt, queued runs are dropped, not started
-            pool.shutdown(cancel_futures=True)
+        for rid, system_id, path in tasks:
+            rec = BenchRecord(rid, system_id,
+                              *run_one(system_id, path, budget_s))
+            records.append(rec)
+            writer.writerow([rec.instance_id, rec.system_id, rec.outcome,
+                             f"{rec.seconds:.6f}"])
+            fh.flush()
+            if progress:
+                progress(rec)
     return records
 
 

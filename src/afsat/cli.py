@@ -284,7 +284,7 @@ def cmd_bench(args):
               f"{rec.seconds:.2f}s{detail}", file=sys.stderr)
 
     records = run_bench(manifest, systems, args.budget, args.out,
-                        repetitions=args.repetitions, jobs=args.jobs,
+                        repetitions=args.repetitions,
                         resume=not args.no_resume,
                         progress=progress if args.verbose else None)
     groups = manifest_groups(manifest, args.group_by)
@@ -426,8 +426,6 @@ def _add_bench_args(p):
     p.add_argument("--budget", type=float, default=900.0,
                    help="wall-clock seconds per run (default 900; use 60 "
                         "for desk-scale runs)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="concurrent runs (default 1)")
     p.add_argument("--out", required=True, help="results CSV (appended)")
     p.add_argument("--repetitions", type=int, default=1)
     p.add_argument("--group-by", choices=("k", "class", "method", "all"),

@@ -220,15 +220,22 @@ def enumerate_complete(af, encoding=EncodingId.C2, session_factory=None):
     return _run(af, "complete", encoding, session_factory, _complete_of)
 
 
+def _check_index(af, a):
+    if not 1 <= a <= af.k:
+        raise ValueError(f"argument index {a} is outside 1..{af.k}")
+
+
 def credulous_accept(af, a, encoding=EncodingId.C2, session_factory=None):
     """True iff argument index a is in at least one preferred extension;
-    None when the session budget runs out.
+    None when the session budget runs out. An index outside 1..k raises
+    ValueError.
 
     Membership in any complete extension suffices. The grounded labelling
     decides the arguments it labels in or out without a SAT call; any
     other argument takes one satisfiability call on its component, with
     the argument forced in.
     """
+    _check_index(af, a)
     g_in, g_out = grounded_labelling(af)
     if a in g_in or a in g_out:
         return a in g_in
@@ -272,6 +279,8 @@ def skeptical_answer(result, a):
 
 def skeptical_accept(af, a, encoding=EncodingId.C2, session_factory=None):
     """True iff argument index a is in every preferred extension; False or
-    None as ``skeptical_answer`` gives when the session budget runs out."""
+    None as ``skeptical_answer`` gives when the session budget runs out. An
+    index outside 1..k raises ValueError."""
+    _check_index(af, a)
     return skeptical_answer(
         enumerate_preferred(af, encoding, session_factory), a)

@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -268,13 +269,6 @@ class TestRunner:
         assert len(ids) == 4
         assert sum("@r2" in i for i in ids) == 2
 
-    def test_run_bench_parallel(self, tiny_suite, tmp_path):
-        out_csv = str(tmp_path / "par.csv")
-        records = run_bench(tiny_suite, ["C2:builtin"], budget_s=60,
-                            out_csv=out_csv, jobs=2)
-        assert len(records) == 2
-        assert all(r.outcome == "solved" for r in records)
-
     def test_rejects_bad_arguments(self, tiny_suite, tmp_path):
         with pytest.raises(ValueError):
             run_bench(tiny_suite, ["C2:builtin"], budget_s=60,
@@ -282,17 +276,49 @@ class TestRunner:
         with pytest.raises(ValueError):
             run_bench(tiny_suite, ["C2:wat"], budget_s=60,
                       out_csv=str(tmp_path / "y.csv"))
+        for budget in (0, -5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="budget must be positive"):
+                run_bench(tiny_suite, ["C2:builtin"], budget_s=budget,
+                          out_csv=str(tmp_path / "z.csv"))
+        # a repeated system would score twice on every case
+        with pytest.raises(ValueError, match="system listed twice: C2:builtin"):
+            run_bench(tiny_suite, ["C2:builtin", "C3:builtin", "C2:builtin"],
+                      budget_s=60, out_csv=str(tmp_path / "w.csv"))
+        assert not any(tmp_path.glob("[zw].csv"))
+
+    def test_resume_keeps_the_budget(self, tiny_suite, tmp_path):
+        """A CSV resumes only under the budget its first line names; one
+        without that line resumes as before."""
+        out_csv = str(tmp_path / "results.csv")
+        run_bench(tiny_suite, ["C2:builtin"], budget_s=60, out_csv=out_csv)
+        with open(out_csv) as fh:
+            written = fh.read()
+        with pytest.raises(ValueError, match=r"budget_s=60\b.*budget_s=900"):
+            run_bench(tiny_suite, ["C2:builtin"], budget_s=900,
+                      out_csv=out_csv)
+        assert len(run_bench(tiny_suite, ["C2:builtin"], budget_s=60.0,
+                             out_csv=out_csv)) == 2
+        # without resume, a new file is started under the new budget
+        run_bench(tiny_suite, ["C2:builtin"], budget_s=900, out_csv=out_csv,
+                  resume=False)
+        with open(out_csv) as fh:
+            assert fh.readline().endswith("; budget_s=900\n")
+        with open(out_csv, "w") as fh:
+            fh.write(written.split("\n", 1)[1])  # no budget line
+        assert len(run_bench(tiny_suite, ["C2:builtin"], budget_s=900,
+                             out_csv=out_csv)) == 2
+        with open(out_csv) as fh:
+            assert fh.read() == written.split("\n", 1)[1]
 
     def test_run_bench_interrupted_drops_queued_runs(self, tiny_suite,
                                                      tmp_path, monkeypatch):
-        """An interrupt in the write loop cancels the runs still queued;
-        only the runs already started finish, and their rows are not
-        written."""
+        """An interrupt in the write loop ends the campaign: no queued run
+        starts, and the CSV holds only the record already handed to
+        progress."""
         started = []
 
         def fake_run_one(system_id, apx_path, budget_s):
             started.append(apx_path)
-            time.sleep(0.0 if len(started) == 1 else 0.5)
             return "solved", 0.1, ""
 
         def interrupt(rec):
@@ -300,14 +326,52 @@ class TestRunner:
 
         monkeypatch.setattr(bench, "run_one", fake_run_one)
         out_csv = str(tmp_path / "interrupted.csv")
-        jobs = 2
         with pytest.raises(KeyboardInterrupt):
             run_bench(tiny_suite, ["C2:builtin"], budget_s=60,
-                      out_csv=out_csv, repetitions=6, jobs=jobs,
-                      progress=interrupt)
-        assert 1 <= len(started) <= jobs + 1  # of 12 runs
+                      out_csv=out_csv, repetitions=6, progress=interrupt)
+        assert len(started) == 1  # of 12 runs
         back = read_records(out_csv)
         assert len(back) == 1  # the one record handed to progress
+
+    def test_sigint_kills_the_running_child(self, tiny_suite, tmp_path):
+        """Ctrl-C on `afsat bench` ends the run in progress at once: its
+        solver is killed, its private TMPDIR removed, and no other run
+        starts."""
+        pid_file = tmp_path / "sleeper.pids"
+        sleeper = tmp_path / "sleeper.py"
+        sleeper.write_text(f"#!{sys.executable}\nimport os, time\n"
+                           f"with open({str(pid_file)!r}, 'a') as fh:\n"
+                           "    fh.write(f'{os.getpid()}\\n')\n"
+                           "time.sleep(60)\n")
+        sleeper.chmod(0o755)
+        temp_root = tmp_path / "tmp"
+        temp_root.mkdir()
+        package_parent = os.path.dirname(os.path.dirname(afsat.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "afsat", "bench", "--manifest", tiny_suite,
+             "--systems", f"C2:ext:{sleeper}", "--budget", "60",
+             "--out", str(tmp_path / "r.csv")],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env=dict(os.environ, TMPDIR=str(temp_root),
+                     PYTHONPATH=package_parent))
+        def sleeper_started():
+            return pid_file.exists() and pid_file.read_text().endswith("\n")
+
+        try:
+            deadline = time.monotonic() + 60
+            while not sleeper_started() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert sleeper_started()
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=5)  # raises if bench is still waiting
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        pids = pid_file.read_text().split()
+        assert len(pids) == 1
+        assert not running(int(pids[0]))
+        assert list(temp_root.iterdir()) == []
 
     @pytest.mark.parametrize("row", [
         "probT-000,C2:bui",
@@ -332,11 +396,13 @@ class TestRunner:
 
 
 def test_import_leaves_cli_unloaded():
-    """The library's harness does not load the command-line module."""
-    code = "import sys, afsat.bench; print('afsat.cli' in sys.modules)"
+    """The library's harness does not load the command-line module, nor a
+    thread pool."""
+    code = ("import sys, afsat.bench; print('afsat.cli' in sys.modules, "
+            "'concurrent.futures' in sys.modules)")
     package_parent = os.path.dirname(os.path.dirname(afsat.__file__))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ,
                                               PYTHONPATH=package_parent))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"

@@ -757,6 +757,41 @@ class TestBenchCommand:
         assert code == 2
         assert "system spec" in err
 
+    @pytest.mark.parametrize("systems, budget, message", [
+        ("C2:builtin", "-5", "budget must be positive and finite: -5.0"),
+        ("C2:builtin", "0", "budget must be positive and finite: 0.0"),
+        ("C2:builtin", "nan", "budget must be positive and finite: nan"),
+        ("C2:builtin", "inf", "budget must be positive and finite: inf"),
+        ("C2:builtin,C2:builtin", "60", "system listed twice: C2:builtin"),
+    ], ids=["negative-budget", "zero-budget", "nan-budget", "inf-budget",
+            "repeated-system"])
+    def test_bad_budget_or_repeated_system_is_input_error(
+            self, capsys, suite_dir, tmp_path, systems, budget, message):
+        out_csv = tmp_path / "r.csv"
+        code, out, err = run_cli(capsys, [
+            "bench", "--manifest", suite_dir, "--systems", systems,
+            "--budget", budget, "--out", str(out_csv)])
+        assert (code, out) == (2, "")
+        assert err == f"afsat: error: {message}\n"
+        assert not out_csv.exists()
+
+    def test_resume_under_other_budget_is_input_error(self, capsys, suite_dir,
+                                                      tmp_path):
+        out_csv = tmp_path / "r.csv"
+        out_csv.write_text("# afsat 0.1.0 bench; budget_s=0.001\n"
+                           "instance_id,system_id,outcome,seconds\n"
+                           "probT-000,C2:builtin,timeout,0.001000\n"
+                           "probT-001,C2:builtin,timeout,0.001000\n")
+        before = out_csv.read_text()
+        code, out, err = run_cli(capsys, [
+            "bench", "--manifest", suite_dir, "--systems", "C2:builtin",
+            "--budget", "900", "--out", str(out_csv)])
+        assert (code, out) == (2, "")
+        assert err == (f"afsat: error: {out_csv} holds runs under "
+                       "budget_s=0.001; it cannot resume under "
+                       "budget_s=900.0\n")
+        assert out_csv.read_text() == before
+
     def test_empty_systems_is_input_error(self, capsys, suite_dir, tmp_path):
         code, _, err = run_cli(capsys, [
             "bench", "--manifest", suite_dir, "--systems", ",",
@@ -867,7 +902,11 @@ class TestParserPerCommand:
         (["bogus"], "argument COMMAND: invalid choice: 'bogus' (choose from "
                     "'parse', 'encode', 'enumerate', 'query', 'generate', "
                     "'classify', 'bench', 'sat')"),
-    ], ids=["none", "unknown"])
+        # runs go one at a time; concurrent runs would load each other
+        (["bench", "--manifest", "m", "--systems", "C2:builtin",
+          "--out", "r.csv", "--jobs", "2"],
+         "unrecognized arguments: --jobs 2"),
+    ], ids=["none", "unknown", "bench-jobs"])
     def test_missing_or_unknown_command(self, capsys, argv, message):
         with pytest.raises(SystemExit) as info:
             main(argv)

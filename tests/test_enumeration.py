@@ -302,6 +302,23 @@ class TestAcceptance:
                 want = all(a in s for s in preferred)
                 assert skeptical_accept(af, a) == want, (af, a)
 
+    def test_index_outside_range_is_rejected(self):
+        """Both ends of 1..k answer as the oracle does; -1, 0 and k+1 raise
+        instead of answering for some other argument."""
+        # a<->b, c->c: index 0 and -1 once answered True, for a framework
+        # holding only c, which is in no extension
+        loop = make_af("abc", [("a", "b"), ("b", "a"), ("c", "c")])
+        for af in [loop] + random_battery(16, 10, max_k=6):
+            preferred = oracle_preferred(af)
+            for a in (1, af.k):
+                assert credulous_accept(af, a) == any(a in s for s in preferred)
+                assert skeptical_accept(af, a) == all(a in s for s in preferred)
+            for a in (-1, 0, af.k + 1):
+                for accept in (credulous_accept, skeptical_accept):
+                    with pytest.raises(ValueError, match=rf"^argument index "
+                                       rf"{a} is outside 1\.\.{af.k}$"):
+                        accept(af, a)
+
     def test_mutual_attack_queries(self):
         assert credulous_accept(MUTUAL, 1)
         assert credulous_accept(MUTUAL, 2)
