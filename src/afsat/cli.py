@@ -17,14 +17,16 @@ Each call of ``main`` builds only the parser of the command it invokes
 built only for ``--help``, ``--version``, a missing or an unknown command.
 Help text, usage lines and error messages are the same either way.
 
-Exit codes: 0 success, 1 usage error, 2 input error, 3 budget exhausted.
-JSON output is stable: keys sorted, fixed schemas, no timing fields unless
-requested, so identical inputs give byte-identical output.
+Exit codes: 0 success, 1 usage error, 2 input error, 3 budget exhausted,
+130 interrupted. JSON output is stable: keys sorted, two-space indent,
+fixed schemas, no timing fields unless requested, so identical inputs give
+byte-identical output.
 """
 
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__
 
@@ -32,6 +34,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,12 +83,36 @@ def _session_factory(args):
     return external_session_factory([backend[1]], budget_s=args.solver_budget)
 
 
+def _json_text(value, newline="\n"):
+    """``json.dumps(value, indent=2, sort_keys=True)`` for str-keyed dicts,
+    lists, tuples and scalars, in one recursive pass: with an indent the
+    stdlib takes its pure-Python encoder, which costs more than the rest
+    of printing a large result. ``newline`` is the line break plus the
+    indent of the enclosing level."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        try:  # a list of strings, the bulk of a large result, in one call
+            body = ("," + inner).join(map(_json_str, value))
+        except TypeError:
+            body = ("," + inner).join([_json_text(item, inner)
+                                       for item in value])
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join(
+            [_json_str(key) + ": " + _json_text(value[key], inner)
+             for key in sorted(value)]) + newline + "}"
+    if isinstance(value, str):
+        return _json_str(value)
+    return json.dumps(value)
+
+
 def _print_json(payload):
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _extension_names(af, extension):
-    return sorted(af.name(i) for i in extension)
+    print(_json_text(payload))
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +174,8 @@ def cmd_enumerate(args):
         },
     }
     if not args.stats_only:
-        payload["extensions"] = [_extension_names(af, s)
+        names = (None,) + af.arguments  # by 1-based index
+        payload["extensions"] = [sorted(map(names.__getitem__, s))
                                  for s in result.extensions]
     if args.timing:
         payload["stats"]["wall_time_s"] = round(result.stats["wall_time_s"], 6)
@@ -491,6 +519,9 @@ def main(argv=None):
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
+    except KeyboardInterrupt:
+        print("afsat: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except KeyError as exc:
         print(f"afsat: error: {exc.args[0]}", file=sys.stderr)
         return EXIT_INPUT

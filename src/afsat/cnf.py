@@ -19,6 +19,7 @@ Clause emission order is fixed (groups in a canonical sequence, arguments
 by index, attackers by index) so serialized output is byte-stable.
 """
 
+import operator
 from enum import Enum
 
 from .core import IN, OUT, UNDEC, Labelling
@@ -59,12 +60,16 @@ class VarLayout:
 def normalize_clause(lits, num_vars):
     """Distinct literals of a clause over variables 1..num_vars, as a tuple
     in first-seen order (sessions watch the first two); None for a
-    tautology. Every literal is range-checked (ValueError)."""
+    tautology. Every literal must be an integer inside the range
+    (ValueError)."""
     seen = set()
     clause = []
     tautology = False
     for lit in lits:
-        lit = int(lit)
+        try:
+            lit = operator.index(lit)
+        except TypeError:
+            raise ValueError(f"literal is not an integer: {lit!r}") from None
         if lit == 0 or abs(lit) > num_vars:
             raise ValueError(f"literal out of range: {lit}")
         if -lit in seen:
@@ -80,7 +85,8 @@ class CnfFormula:
 
     Construction normalizes every clause with normalize_clause: duplicate
     literals are dropped, tautologies are discarded, and empty clauses or
-    out-of-range literals are rejected.
+    out-of-range literals are rejected. Only ``encode``, whose clauses are
+    normalized by construction, skips that pass.
     """
 
     __slots__ = ("num_vars", "clauses")
@@ -97,6 +103,15 @@ class CnfFormula:
             if lits is not None:
                 kept.append(lits)
         self.clauses = tuple(kept)
+
+    @classmethod
+    def _normalized(cls, num_vars, clauses):
+        """A formula over clauses its caller built normalized: non-empty
+        tuples of distinct, in-range literals, none a tautology."""
+        formula = cls.__new__(cls)
+        formula.num_vars = num_vars
+        formula.clauses = tuple(clauses)
+        return formula
 
     @property
     def num_clauses(self):
@@ -151,62 +166,67 @@ def _attacked_args(af):
 def _clauses_exclusivity(af, v):
     for i in range(1, af.k + 1):
         I, O, U = v.in_var(i), v.out_var(i), v.undec_var(i)
-        yield [I, O, U]
-        yield [-I, -O]
-        yield [-I, -U]
-        yield [-O, -U]
+        yield (I, O, U)
+        yield (-I, -O)
+        yield (-I, -U)
+        yield (-O, -U)
 
 
 def _clauses_unattacked(af, v):
     for i in range(1, af.k + 1):
         if not af.is_attacked(i):
-            yield [v.in_var(i)]
-            yield [-v.out_var(i)]
-            yield [-v.undec_var(i)]
+            yield (v.in_var(i),)
+            yield (-v.out_var(i),)
+            yield (-v.undec_var(i),)
 
 
 def _clauses_in_bwd(af, v):
     # all attackers out => in, contrapositive form: in or some attacker not out
     for i in _attacked_args(af):
-        yield [v.in_var(i)] + [-v.out_var(j) for j in af.attackers(i)]
+        yield (v.in_var(i), *[-v.out_var(j) for j in af.attackers(i)])
 
 
 def _clauses_in_fwd(af, v):
     # in => every attacker out
     for i in _attacked_args(af):
         for j in af.attackers(i):
-            yield [-v.in_var(i), v.out_var(j)]
+            yield (-v.in_var(i), v.out_var(j))
 
 
 def _clauses_out_bwd(af, v):
     # some attacker in => out
     for i in _attacked_args(af):
         for j in af.attackers(i):
-            yield [-v.in_var(j), v.out_var(i)]
+            yield (-v.in_var(j), v.out_var(i))
 
 
 def _clauses_out_fwd(af, v):
     # out => some attacker in
     for i in _attacked_args(af):
-        yield [-v.out_var(i)] + [v.in_var(j) for j in af.attackers(i)]
+        yield (-v.out_var(i), *[v.in_var(j) for j in af.attackers(i)])
 
 
 def _clauses_undec_bwd(af, v):
     # no attacker in and some attacker undec => undec; one clause per
-    # (argument, undec-attacker candidate) pair, no sharing of subclauses
+    # (argument, undec-attacker candidate) pair, no sharing of subclauses;
+    # a self-attacker's pair with itself is a tautology and is skipped
     for i in _attacked_args(af):
-        in_tail = [v.in_var(j) for j in af.attackers(i)]
+        U = v.undec_var(i)
+        in_tail = tuple(v.in_var(j) for j in af.attackers(i))
         for m in af.attackers(i):
-            yield [v.undec_var(i), -v.undec_var(m)] + in_tail
+            if m != i:
+                yield (U, -v.undec_var(m), *in_tail)
 
 
 def _clauses_undec_fwd(af, v):
-    # undec => no attacker in, and undec => some attacker undec
+    # undec => no attacker in, and undec => some attacker undec; the latter
+    # is a tautology for a self-attacker and is skipped
     for i in _attacked_args(af):
         U = v.undec_var(i)
         for j in af.attackers(i):
-            yield [-U, -v.in_var(j)]
-        yield [-U] + [v.undec_var(j) for j in af.attackers(i)]
+            yield (-U, -v.in_var(j))
+        if not af.has_attack(i, i):
+            yield (-U, *[v.undec_var(j) for j in af.attackers(i)])
 
 
 # Canonical group sequence; the per-term groups fire only when the encoding
@@ -225,8 +245,9 @@ def encode(af, encoding=EncodingId.C2, nonempty=True):
     """CNF over the labelling variables whose models are exactly the complete
     labellings of af (restricted to a non-empty in-set when ``nonempty``).
 
-    Self-attacks make a few undec-group clauses tautological; the formula
-    constructor drops those, which leaves the model set unchanged.
+    Every clause is built normalized: the two undec-group clauses that a
+    self-attack makes tautological are never emitted, which leaves the
+    model set unchanged.
     """
     terms = ENCODING_TERMS[encoding]
     v = VarLayout(af.k)
@@ -237,8 +258,8 @@ def encode(af, encoding=EncodingId.C2, nonempty=True):
         if term in terms:
             clauses.extend(group(af, v))
     if nonempty:
-        clauses.append([v.in_var(i) for i in range(1, af.k + 1)])
-    return CnfFormula(v.num_vars, clauses)
+        clauses.append(tuple(map(v.in_var, range(1, af.k + 1))))
+    return CnfFormula._normalized(v.num_vars, clauses)
 
 
 def standard_comments(af, encoding, source=None):

@@ -13,6 +13,7 @@ they exist as the readable ground truth that the exhaustive oracle and the
 SAT pipeline are tested against.
 """
 
+import operator
 import re
 
 IN = "in"
@@ -58,15 +59,34 @@ class ArgumentationFramework:
         pairs = set()
         for pair in attacks:
             i, j = pair
+            try:
+                i, j = operator.index(i), operator.index(j)
+            except TypeError:
+                raise ValueError(
+                    f"attack endpoint is not an integer: {pair!r}") from None
             if not (1 <= i <= k and 1 <= j <= k):
                 raise ValueError(f"attack endpoint out of range: {pair!r}")
-            pairs.add((int(i), int(j)))
+            pairs.add((i, j))
+        self._build(names, index, pairs)
+
+    @classmethod
+    def _checked(cls, names, index, pairs):
+        """A framework from input its caller has already checked: a
+        non-empty tuple of valid, distinct names, their ``{name: index}``
+        dict, and (attacker, target) int pairs inside 1..k, repeats
+        allowed. The parsers and the enumerator's subframeworks use it."""
+        af = cls.__new__(cls)
+        af._build(names, index, pairs)
+        return af
+
+    def _build(self, names, index, pairs):
         self.arguments = names
         self.attacks = frozenset(pairs)
         self._index = index
+        k = len(names)
         attackers = [[] for _ in range(k + 1)]
         attackees = [[] for _ in range(k + 1)]
-        for i, j in sorted(pairs):
+        for i, j in sorted(self.attacks):
             attackers[j].append(i)
             attackees[i].append(j)
         self._attackers = tuple(map(tuple, attackers))

@@ -73,9 +73,15 @@ class EnumerationResult:
 
 
 def _sorted_extensions(af, extensions):
-    def key(s):
-        return (-len(s), tuple(sorted(af.name(i) for i in s)))
-    return sorted(extensions, key=key)
+    if len(extensions) < 2:
+        return extensions  # nothing to order: skip ranking k names
+    # names are distinct, so two sets of indices compare as their sorted
+    # name lists do when each index stands for its name's rank
+    rank = [0] * (af.k + 1)
+    for r, i in enumerate(sorted(range(1, af.k + 1), key=af.name)):
+        rank[i] = r
+    return sorted(extensions,
+                  key=lambda s: (-len(s), sorted(map(rank.__getitem__, s))))
 
 
 def grounded_labelling(af):
@@ -122,8 +128,9 @@ def _subframework(af, component):
     """The framework induced by an ascending index list; its argument i is
     ``component[i - 1]``."""
     local = {a: i for i, a in enumerate(component, start=1)}
-    return ArgumentationFramework(
-        [af.name(a) for a in component],
+    names = tuple(map(af.name, component))
+    return ArgumentationFramework._checked(
+        names, {name: i for i, name in enumerate(names, start=1)},
         [(i, local[b]) for a, i in local.items()
          for b in af.attackees(a) if b in local])
 

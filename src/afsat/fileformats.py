@@ -8,8 +8,10 @@ Two formats are supported:
   ``#`` separator line, then ``attacker target`` lines.
 
 Argument names follow ``core.NAME_PATTERN`` in both formats. Parsers
-report 1-based line numbers on error; serializers are byte-deterministic
-(declaration order for arguments, sorted index pairs for attacks).
+report 1-based line numbers on error and, having checked every name and
+attack themselves, build the framework without checking it again;
+serializers are byte-deterministic (declaration order for arguments,
+sorted index pairs for attacks).
 """
 
 import re
@@ -63,7 +65,7 @@ def parse_apx(text):
         if b not in index:
             raise ParseError(f"attack references undeclared argument: {b}", lineno)
         attacks.append((index[a], index[b]))
-    return ArgumentationFramework(tuple(index), attacks)
+    return ArgumentationFramework._checked(tuple(index), index, attacks)
 
 
 def serialize_apx(af):
@@ -110,7 +112,7 @@ def parse_tgf(text):
         raise ParseError("missing '#' separator line")
     if not index:
         raise ParseError("no arguments declared")
-    return ArgumentationFramework(tuple(index), attacks)
+    return ArgumentationFramework._checked(tuple(index), index, attacks)
 
 
 def serialize_tgf(af):

@@ -33,6 +33,18 @@ def random_af(rng, k=None, max_k=7, density=None):
     return ArgumentationFramework(names, attacks)
 
 
+def assert_same_as_checked(af):
+    """A framework built without the constructor's checks (by a parser or
+    as a subframework) equals the one the checking constructor builds from
+    its names and attacks, in every stored field."""
+    checked = ArgumentationFramework(list(af.arguments), list(af.attacks))
+    assert af.arguments == checked.arguments
+    assert af.attacks == checked.attacks
+    assert af._index == checked._index
+    assert af._attackers == checked._attackers
+    assert af._attackees == checked._attackees
+
+
 def random_battery(seed, count, **kwargs):
     rng = random.Random(seed)
     return [random_af(rng, **kwargs) for _ in range(count)]

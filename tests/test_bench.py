@@ -335,8 +335,8 @@ class TestRunner:
 
     def test_sigint_kills_the_running_child(self, tiny_suite, tmp_path):
         """Ctrl-C on `afsat bench` ends the run in progress at once: its
-        solver is killed, its private TMPDIR removed, and no other run
-        starts."""
+        solver is killed, its private TMPDIR removed, no other run starts,
+        and the command exits 130 without a traceback."""
         pid_file = tmp_path / "sleeper.pids"
         sleeper = tmp_path / "sleeper.py"
         sleeper.write_text(f"#!{sys.executable}\nimport os, time\n"
@@ -351,7 +351,7 @@ class TestRunner:
             [sys.executable, "-m", "afsat", "bench", "--manifest", tiny_suite,
              "--systems", f"C2:ext:{sleeper}", "--budget", "60",
              "--out", str(tmp_path / "r.csv")],
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
             env=dict(os.environ, TMPDIR=str(temp_root),
                      PYTHONPATH=package_parent))
         def sleeper_started():
@@ -363,11 +363,15 @@ class TestRunner:
                 time.sleep(0.05)
             assert sleeper_started()
             proc.send_signal(signal.SIGINT)
-            proc.wait(timeout=5)  # raises if bench is still waiting
+            # raises if bench is still waiting
+            _, stderr = proc.communicate(timeout=5)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+        assert proc.returncode == 130
+        assert stderr.endswith("afsat: interrupted\n")
+        assert "Traceback" not in stderr
         pids = pid_file.read_text().split()
         assert len(pids) == 1
         assert not running(int(pids[0]))

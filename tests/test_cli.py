@@ -27,7 +27,7 @@ import pytest
 
 import afsat
 from afsat import __version__
-from afsat.cli import COMMANDS, build_parser, main
+from afsat.cli import COMMANDS, _json_text, build_parser, main
 from afsat.cnf import parse_dimacs
 from afsat.generators import METHOD_PROBABILITY, build_suite, generate
 from afsat.fileformats import parse, serialize_apx
@@ -606,6 +606,117 @@ def test_layer_entry_points_looked_up_at_call_time(capsys, tmp_path,
         assert code == 0
     assert calls == {"parse": 2, "encode": 2, "builtin_session_factory": 2,
                      "enumerate_preferred": 1, "enumerate_complete": 1}
+
+
+# a self-attack and two components: a <-> b, and c <-> d with d attacking
+# itself; the grounded labelling decides nothing
+TWO_PARTS_APX = ("arg(a).\narg(b).\narg(c).\narg(d).\natt(a,b).\natt(b,a).\n"
+                 "att(c,d).\natt(d,c).\natt(d,d).\n")
+
+
+def test_enumerate_checks_encodes_and_prints_in_one_pass(capsys, tmp_path,
+                                                         monkeypatch):
+    """``enumerate`` never re-checks a parsed framework or a subframework,
+    never re-normalizes the encoder's clauses, and never takes the
+    stdlib's pure-Python JSON encoder."""
+    import json.encoder
+
+    from afsat.cnf import CnfFormula
+    from afsat.core import ArgumentationFramework
+
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    targets = [(json.encoder, "_make_iterencode"),
+               (ArgumentationFramework, "__init__"),
+               (CnfFormula, "__init__")]
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, counting(
+            f"{owner.__name__}.{name}", getattr(owner, name)))
+    path = af_file(tmp_path, TWO_PARTS_APX)
+    for argv in (["enumerate", path, "--timing", "--query-credulous", "b",
+                  "--query-skeptical", "c"],
+                 ["enumerate", path, "--semantics", "complete"],
+                 ["query", path, "--mode", "credulous", "--argument", "d"]):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and out
+    assert calls == {}
+    # the counters see what they guard
+    json.dumps({"a": [1]}, indent=2)
+    ArgumentationFramework(["a"])
+    CnfFormula(1, [[1]])
+    assert calls == {"json.encoder._make_iterencode": 1,
+                     "ArgumentationFramework.__init__": 1,
+                     "CnfFormula.__init__": 1}
+
+
+class TestJsonOutput:
+    """The one JSON writer prints what ``json.dumps(payload, indent=2,
+    sort_keys=True)`` prints."""
+
+    @pytest.mark.parametrize("payload", [
+        {}, [], "", 0, None, True, 1.5,
+        {"b": [], "a": {}, "c": [[], {}, [[]]]},
+        [1, "x", None, True, False, -0.0, 1e300, 2.5e-7, -12, [1, [2, "y"]]],
+        {"text": ["caf\u00e9", "\u20ac", "\U0001f600", "\n\t\"\\/\x00\x7f"],
+         "\u00fcber": {"z": 1, "A": 2, "_": 3, "\u00e9": 4}},
+        ("a", ("b", {"k": ("c",)})),
+    ], ids=["empty-dict", "empty-list", "empty-string", "zero", "null",
+            "true", "float", "empty-containers", "mixed-list",
+            "non-ascii-and-escapes", "tuples"])
+    def test_synthetic_payloads(self, payload):
+        assert _json_text(payload) == json.dumps(payload, indent=2,
+                                                 sort_keys=True)
+
+    def test_every_command_payload(self, capsys, tmp_path):
+        mutual = af_file(tmp_path, MUTUAL_APX)
+        # x4 is in no complete extension, but proving it takes more than
+        # one conflict: its credulous answer is null at budget 1
+        hard = af_file(tmp_path, "arg(x1).\narg(x2).\narg(x3).\narg(x4).\n"
+                       "att(x1,x1).\natt(x1,x2).\natt(x2,x4).\natt(x3,x1).\n"
+                       "att(x3,x2).\natt(x3,x3).\n", name="hard.apx")
+        parts = af_file(tmp_path, TWO_PARTS_APX, name="parts.apx")
+        runs = [["classify"], ["classify", "--no-witnesses"]]
+        for semantics in ("preferred", "complete"):
+            runs += [
+                ["enumerate", mutual, "--semantics", semantics, "--timing",
+                 "--query-credulous", "a", "--query-skeptical", "a"],
+                ["enumerate", parts, "--semantics", semantics,
+                 "--query-credulous", "c", "--query-credulous", "d",
+                 "--query-skeptical", "c"],
+                ["enumerate", parts, "--semantics", semantics, "--stats-only"],
+                ["enumerate", hard, "--semantics", semantics,
+                 "--conflict-budget", "1", "--query-credulous", "x4",
+                 "--query-credulous", "x2", "--query-skeptical", "x3"]]
+        for path, name in ((mutual, "a"), (hard, "x4"), (parts, "c")):
+            runs += [["parse", path],
+                     ["query", path, "--mode", "credulous", "--argument", name]]
+        answers = set()
+        for argv in runs:
+            _, out, _ = run_cli(capsys, argv)
+            payload = json.loads(out)
+            assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            for group in payload.get("queries", {}).values():
+                answers.update(group.values())
+            if argv == ["classify"]:  # its witness strings hold line breaks
+                assert "\\n" in out
+        assert answers == {True, False, None}
+
+
+def test_interrupt_exits_130_without_traceback(capsys, tmp_path, monkeypatch):
+    import afsat.cli
+
+    def interrupted(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(afsat.cli, "_read_text", interrupted)
+    code, out, err = run_cli(capsys, ["parse", af_file(tmp_path, MUTUAL_APX)])
+    assert (code, out, err) == (130, "", "afsat: interrupted\n")
 
 
 class TestGenerate:

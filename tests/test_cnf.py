@@ -18,12 +18,22 @@ from afsat.cnf import (
     standard_comments,
     to_dimacs,
 )
+from afsat.constraints import Term
 from afsat.core import IN, OUT, UNDEC
 from afsat.extsolver import ExternalSession
 from afsat.oracle import oracle_complete_labellings
 from afsat.solver import Solver
 
-from conftest import CHAIN3, CYCLE3, FULL3, MUTUAL, NO_ATTACKS3, SELF1, make_af
+from conftest import (
+    CHAIN3,
+    CYCLE3,
+    FULL3,
+    MUTUAL,
+    NO_ATTACKS3,
+    SELF1,
+    make_af,
+    random_battery,
+)
 
 TINY_BATTERY = [CHAIN3, MUTUAL, SELF1, CYCLE3, NO_ATTACKS3, FULL3,
                 make_af("abc", [("a", "a"), ("a", "b"), ("c", "b")]),
@@ -135,6 +145,80 @@ class TestNormalizeClause:
         assert list(CnfFormula(3, [lits]).clauses) == stored
         assert [tuple(c) for c in solver._clauses] == stored
         assert external._clauses == stored
+
+    @pytest.mark.parametrize("lits", [[1.7, 2], [2, 1.0], ["3"], [1.5], [None]],
+                             ids=["float", "integral-float", "string",
+                                  "lone-float", "none"])
+    def test_non_integer_literal_rejected_everywhere(self, lits):
+        solver = Solver(3)
+        external = ExternalSession("unused", CnfFormula(3))
+        for add in (lambda c: normalize_clause(c, 3),
+                    lambda c: CnfFormula(3, [c]),
+                    solver.add_clause, external.add_clause):
+            with pytest.raises(ValueError,
+                               match=r"^literal is not an integer: "):
+                add(lits)
+        assert solver._clauses == [] and external._clauses == []
+        assert solver.solve() is not None
+
+    def test_numpy_integers_accepted(self):
+        np = pytest.importorskip("numpy")
+        lits = [np.int64(2), np.int64(-1), np.int64(2)]
+        assert normalize_clause(lits, 3) == (2, -1)
+        assert [type(lit) for lit in normalize_clause(lits, 3)] == [int, int]
+        assert CnfFormula(3, [lits]).clauses == ((2, -1),)
+
+
+def raw_clauses(af, encoding, nonempty):
+    """The clause groups as the module docstring spells them, in the
+    canonical order, with the tautologies a self-attack makes."""
+    v = VarLayout(af.k)
+    I, O, U = v.in_var, v.out_var, v.undec_var
+    args = range(1, af.k + 1)
+    out = []
+    for i in args:
+        out += [[I(i), O(i), U(i)], [-I(i), -O(i)], [-I(i), -U(i)],
+                [-O(i), -U(i)]]
+    for i in args:
+        if not af.attackers(i):
+            out += [[I(i)], [-O(i)], [-U(i)]]
+    groups = {  # in the canonical order
+        Term.IN_BWD: lambda i, a: [[I(i)] + [-O(j) for j in a]],
+        Term.IN_FWD: lambda i, a: [[-I(i), O(j)] for j in a],
+        Term.OUT_BWD: lambda i, a: [[-I(j), O(i)] for j in a],
+        Term.OUT_FWD: lambda i, a: [[-O(i)] + [I(j) for j in a]],
+        Term.UNDEC_BWD: lambda i, a: [[U(i), -U(m)] + [I(j) for j in a]
+                                      for m in a],
+        Term.UNDEC_FWD: lambda i, a: ([[-U(i), -I(j)] for j in a]
+                                      + [[-U(i)] + [U(j) for j in a]]),
+    }
+    for term, group in groups.items():
+        if term in ENCODING_TERMS[encoding]:
+            for i in args:
+                if af.attackers(i):
+                    out += group(i, af.attackers(i))
+    if nonempty:
+        out.append([I(i) for i in args])
+    return out
+
+
+class TestEncodedClausesAreNormalized:
+    """encode builds its clauses normalized instead of passing them through
+    normalize_clause; the formula must be the one normalization gives."""
+
+    BATTERY = TINY_BATTERY + random_battery(20261019, 40, max_k=6)
+
+    def test_battery_has_self_attacks(self):
+        assert sum(any(af.has_attack(i, i) for i in range(1, af.k + 1))
+                   for af in self.BATTERY) >= 10
+
+    @pytest.mark.parametrize("nonempty", [True, False],
+                             ids=["nonempty", "without-nonempty"])
+    @pytest.mark.parametrize("encoding", ENCODINGS, ids=str)
+    def test_equals_normalized_raw_clauses(self, encoding, nonempty):
+        for af in self.BATTERY:
+            want = CnfFormula(3 * af.k, raw_clauses(af, encoding, nonempty))
+            assert encode(af, encoding, nonempty) == want
 
 
 class TestEncodingIds:

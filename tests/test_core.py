@@ -86,6 +86,20 @@ class TestConstruction:
         af = ArgumentationFramework(["a", "b"], [(1, 2), (1, 2)])
         assert len(af.attacks) == 1
 
+    @pytest.mark.parametrize("pair", [(1.5, 2), (1, 2.0), ("1", 2), (1, None)],
+                             ids=["float", "integral-float", "string", "none"])
+    def test_rejects_non_integer_endpoint(self, pair):
+        with pytest.raises(ValueError,
+                           match=r"^attack endpoint is not an integer: "):
+            ArgumentationFramework(["a", "b"], [pair])
+
+    def test_accepts_numpy_integer_endpoints(self):
+        np = pytest.importorskip("numpy")
+        af = ArgumentationFramework(["a", "b"], [(np.int64(1), np.int64(2))])
+        assert af == ArgumentationFramework(["a", "b"], [(1, 2)])
+        assert [type(i) for pair in af.attacks for i in pair] == [int, int]
+        assert af.attackers(2) == (1,)
+
 
 class TestPredicates:
     def test_conflict_free(self):

@@ -7,6 +7,8 @@ import pytest
 from afsat.cnf import ENCODINGS, CnfFormula, EncodingId
 from afsat.core import ArgumentationFramework
 from afsat.enumeration import (
+    _components,
+    _subframework,
     credulous_accept,
     credulous_answer,
     enumerate_complete,
@@ -25,6 +27,7 @@ from conftest import (
     MUTUAL,
     NO_ATTACKS3,
     SELF1,
+    assert_same_as_checked,
     make_af,
     random_af,
     random_battery,
@@ -70,6 +73,18 @@ class TestFrozenCases:
         result = enumerate_preferred(af)
         assert names(af, result.extensions) == \
             [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]]
+
+    def test_ordering_follows_names_not_indices(self):
+        rng = random.Random(4)
+        for af in random_battery(5, 30, max_k=7):
+            # names whose order differs from the declaration order
+            renamed = ArgumentationFramework(
+                rng.sample([f"n{i}" for i in range(20)], af.k), af.attacks)
+            for result in (enumerate_preferred(renamed),
+                           enumerate_complete(renamed)):
+                assert list(result.extensions) == sorted(
+                    result.extensions,
+                    key=lambda s: (-len(s), sorted(renamed.name(i) for i in s)))
 
 
 class TestOracleEquivalence:
@@ -183,6 +198,18 @@ class TestGroundedDecomposition:
         assert result.stats == dict(result.stats, sat_calls=6,
                                     inner_iterations=6, outer_iterations=4)
         assert set(enumerate_complete(HUB).extensions) == oracle_complete(HUB)
+
+    def test_subframeworks_equal_checked_ones(self):
+        seen = 0
+        for af in [HUB] + random_battery(31, 60, max_k=8):
+            g_in, g_out = grounded_labelling(af)
+            for component in _components(af, g_in | g_out,
+                                          range(1, af.k + 1)):
+                sub = _subframework(af, component)
+                assert_same_as_checked(sub)
+                assert sub.arguments == tuple(map(af.name, component))
+                seen += 1
+        assert seen >= 30
 
     def test_hubbed_unions_match_oracle(self):
         rng = random.Random(808)

@@ -13,7 +13,7 @@ from afsat.fileformats import (
     sniff_format,
 )
 
-from conftest import MUTUAL
+from conftest import MUTUAL, assert_same_as_checked
 
 
 APX_SAMPLE = """\
@@ -32,6 +32,25 @@ b
 a b
 b a
 """
+
+# lines that do not match as written: the comment is cut and every
+# whitespace character removed before the statement is matched again
+NORMALIZED_APX = [
+    "arg(a).\n arg( b ).\natt(a,\tb).\natt (b,a) .\n",
+    "arg(a). % first\narg(b).%\natt(a,b).\natt(b,a).   % back\n",
+    "arg(a).\r\narg(b).\r\n\r\natt(a,b).\r\n% note\r\natt(b,a).\r\n",
+    "\n  \narg(a).\n%\n\t\n% arg(c).\narg(b).\natt(a,b).\natt(b,a).",
+]
+# every other valid input of this module, by format
+VALID_INPUTS = [
+    ("apx", APX_SAMPLE), ("tgf", TGF_SAMPLE),
+    *[("apx", text) for text in NORMALIZED_APX],
+    ("apx", "arg(z).\narg(a).\n"),
+    ("apx", "att(b,a).\narg(a).\narg(b).\n"),
+    ("apx", "arg(a b).\natt(a\tb,ab).\n"),
+    ("apx", "arg(ab).\natt(ab,ab).\n"),
+    ("tgf", "\na\n\nb\n\n#\n\na b\n\nb a\n\n"),
+]
 
 
 class TestApx:
@@ -66,14 +85,9 @@ class TestApx:
         af = parse_apx("att(b,a).\narg(a).\narg(b).\n")
         assert af.has_attack(2, 1)
 
-    # lines that do not match as written: the comment is cut and every
-    # whitespace character removed before the statement is matched again
-    @pytest.mark.parametrize("text", [
-        "arg(a).\n arg( b ).\natt(a,\tb).\natt (b,a) .\n",
-        "arg(a). % first\narg(b).%\natt(a,b).\natt(b,a).   % back\n",
-        "arg(a).\r\narg(b).\r\n\r\natt(a,b).\r\n% note\r\natt(b,a).\r\n",
-        "\n  \narg(a).\n%\n\t\n% arg(c).\narg(b).\natt(a,b).\natt(b,a).",
-    ], ids=["spaces-and-tabs", "trailing-comments", "crlf", "blank-lines"])
+    @pytest.mark.parametrize("text", NORMALIZED_APX,
+                             ids=["spaces-and-tabs", "trailing-comments",
+                                  "crlf", "blank-lines"])
     def test_normalized_lines(self, text):
         assert parse_apx(text) == MUTUAL
 
@@ -159,6 +173,13 @@ class TestDispatch:
     def test_cross_format_round_trip(self, small_afs):
         for af in small_afs:
             assert parse(serialize(af, "tgf"), "tgf") == parse(serialize(af, "apx"), "apx")
+
+    def test_parsers_build_what_the_checking_constructor_builds(
+            self, small_afs):
+        inputs = VALID_INPUTS + [(fmt, serialize(af, fmt)) for af in small_afs
+                                 for fmt in ("apx", "tgf")]
+        for fmt, text in inputs:
+            assert_same_as_checked(parse(text, fmt))
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
