@@ -225,6 +225,14 @@ def cmd_generate(args):
     from . import generators
     from .fileformats import serialize_apx
 
+    # each attack-model flag belongs to the one single-instance method
+    # that reads it
+    for flag, value, method in (("--p-att", args.p_att, "probability"),
+                                ("--n-att", args.n_att, "count")):
+        if value is not None and (args.k is None or args.method != method):
+            where = ("suite mode (no --k)" if args.k is None
+                     else f"--method {args.method}")
+            raise ValueError(f"{flag} does not apply to {where}")
     if args.k is not None:
         # single-instance mode
         if args.method == generators.METHOD_PROBABILITY:

@@ -1,10 +1,12 @@
 """Random framework generators and benchmark suites.
 
-Randomness comes from numpy's PCG64, so a (spec, seed) pair pins a
-framework byte for byte under a given numpy. numpy promises stable streams
-across releases only for its bit generators, not for the ``Generator``
-methods used here (``random``, ``integers``; NEP 19). Owning the stream
-is the ROADMAP.md item "Drop numpy". Two attack models are provided:
+Randomness comes from a private port of the three numpy calls the
+generators were first written against: ``SeedSequence`` entropy mixing,
+``PCG64`` (XSL-RR output, O'Neill 2014) with its 53-bit doubles, and
+``Generator.integers`` (Lemire's bounded integers, Lemire 2019). It draws
+the same stream as numpy 2, so a (spec, seed) pair pins a framework byte
+for byte with the standard library alone; golden sha256 digests in
+tests/test_generators.py hold it there. Two attack models are provided:
 
 * probability: one independent uniform draw per ordered argument pair in
   row-major order, the pair attacking iff the draw is <= p_att;
@@ -18,9 +20,9 @@ out benchmark suites. Generated arguments are named a1..ak.
 """
 
 import json
+import math
+import operator
 import os
-
-import numpy as np
 
 from .core import ArgumentationFramework
 from .fileformats import serialize_apx
@@ -45,8 +47,105 @@ def _names(k):
     return [f"a{i}" for i in range(1, k + 1)]
 
 
-def _rng(seed):
-    return np.random.Generator(np.random.PCG64(seed))
+# The random stream, ported from numpy 2 (numpy/random/bit_generator.pyx,
+# pcg64.h, distributions.c) and kept to what the generators call.
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(entropy, n_words):
+    """numpy's ``SeedSequence(entropy).generate_state(n_words, uint64)``
+    for a list of non-negative ints (an int seed s reads as [s])."""
+    words = []
+    for seed in entropy:
+        try:
+            value = operator.index(seed)
+        except TypeError:
+            value = -1  # rejected below
+        if value < 0:
+            raise ValueError(f"seed must be a non-negative integer: {seed!r}")
+        words.append(value & _M32)
+        while value > _M32:  # 32-bit words, least significant first
+            value >>= 32
+            words.append(value & _M32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    halves = []
+    for i in range(2 * n_words):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        halves.append(value ^ value >> 16)
+    return [halves[i] | halves[i + 1] << 32 for i in range(0, 2 * n_words, 2)]
+
+
+class _Pcg64:
+    """numpy's ``Generator(PCG64(seed))``, reduced to ``random(n)`` and
+    ``integers(lo, hi)``."""
+
+    def __init__(self, seed):
+        s_hi, s_lo, i_hi, i_lo = _seed_words([seed], 4)
+        # pcg64_set_seed: from state 0, step, add the seed, step again
+        self._inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        self._state = ((self._inc + (s_hi << 64 | s_lo)) * _PCG_MULT
+                       + self._inc) & _M128
+        self._half = None  # upper half of a 64-bit draw, the next 32 bits
+
+    def _next64(self):
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x = (state >> 64 ^ state) & _M64
+        rot = state >> 122
+        return (x >> rot | x << (64 - rot)) & _M64
+
+    def _next32(self):
+        half, self._half = self._half, None
+        if half is None:
+            x = self._next64()
+            half, self._half = x & _M32, x >> 32
+        return half
+
+    def random(self, n):
+        """n uniform doubles in [0, 1), 53 bits each."""
+        return [(self._next64() >> 11) * 2.0 ** -53 for _ in range(n)]
+
+    def integers(self, lo, hi):
+        """A uniform int in [lo, hi): Lemire's multiply-and-reject on 32
+        bits of the stream while hi - lo <= 2^32, else on 64. A span of
+        exactly 2^32 has threshold 0, so it takes one 32-bit draw as is."""
+        span = hi - lo
+        if span == 1:
+            return lo  # draws nothing
+        if span <= 1 << 32:
+            bits, draw = 32, self._next32
+        else:
+            bits, draw = 64, self._next64
+        threshold = (1 << bits) % span
+        product = draw() * span
+        while product & ((1 << bits) - 1) < threshold:
+            product = draw() * span
+        return lo + (product >> bits)
 
 
 def gen_probability(k, p_att, seed):
@@ -56,7 +155,7 @@ def gen_probability(k, p_att, seed):
         raise ValueError("k must be positive")
     if not 0.0 <= p_att <= 1.0:
         raise ValueError(f"p_att out of [0,1]: {p_att}")
-    draws = _rng(seed).random(k * k)
+    draws = _Pcg64(seed).random(k * k)
     attacks = []
     for idx in range(k * k):
         if draws[idx] <= p_att:
@@ -72,9 +171,9 @@ def gen_count(k, n_att, seed):
     if k < 1:
         raise ValueError("k must be positive")
     k2 = k * k
-    rng = _rng(seed)
+    rng = _Pcg64(seed)
     if n_att is None:
-        n_att = int(rng.integers(0, k2 + 1))
+        n_att = rng.integers(0, k2 + 1)
     if not 0 <= n_att <= k2:
         raise ValueError(f"n_att out of [0,{k2}]: {n_att}")
     # partial Fisher-Yates over the flattened pair space, positions realized
@@ -82,7 +181,7 @@ def gen_count(k, n_att, seed):
     repl = {}
     attacks = []
     for t in range(n_att):
-        r = int(rng.integers(t, k2))
+        r = rng.integers(t, k2)
         idx = repl.get(r, r)
         repl[r] = repl.get(t, t)
         i, j = divmod(idx, k)
@@ -127,8 +226,10 @@ def suite_classes(scale=1.0, k_values=SUITE_K_VALUES, p_values=SUITE_P_VALUES,
     The default plan at scale 1.0 is 24 probability classes of 50, 8
     count classes of 200, and 16 extreme singletons (2816 instances).
     Scaling multiplies the per-class instance counts, never below 1;
-    extremes stay singletons.
+    extremes stay singletons. The scale must be positive and finite.
     """
+    if not 0 < scale < math.inf:  # NaN fails too
+        raise ValueError(f"scale must be positive and finite: {scale}")
     classes = []
     for k in k_values:
         for p in p_values:
@@ -145,18 +246,15 @@ def suite_classes(scale=1.0, k_values=SUITE_K_VALUES, p_values=SUITE_P_VALUES,
     return classes
 
 
-def _derive_seed(base_seed, class_index, instance_index):
-    ss = np.random.SeedSequence([int(base_seed), class_index, instance_index])
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def build_suite(out_dir, scale=1.0, base_seed=0, classes=None):
     """Materialize a suite: one APX file per instance plus a manifest.
 
     Per-instance seeds derive deterministically from (base_seed, class
-    index, instance index) via numpy's SeedSequence, so any instance can be
-    regenerated alone from its manifest row. Returns the manifest dict;
-    writes ``manifest.json`` into out_dir.
+    index, instance index) by the ported SeedSequence mixing, so any
+    instance can be regenerated alone from its manifest row, and a suite
+    is the same file for file as numpy's stream built it (golden digests
+    in tests/test_generators.py). Returns the manifest dict; writes
+    ``manifest.json`` into out_dir.
     """
     if classes is None:
         classes = suite_classes(scale)
@@ -164,7 +262,7 @@ def build_suite(out_dir, scale=1.0, base_seed=0, classes=None):
     instances = []
     for class_index, (class_id, method, k, param, count) in enumerate(classes):
         for inst_index in range(count):
-            seed = _derive_seed(base_seed, class_index, inst_index)
+            seed = _seed_words([base_seed, class_index, inst_index], 1)[0]
             af = generate(method, k, param, seed)
             instance_id = f"{class_id}-{inst_index:03d}"
             path = f"{instance_id}.apx"
@@ -193,7 +291,8 @@ def load_manifest(path):
         path = os.path.join(path, MANIFEST_NAME)
     with open(path) as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != MANIFEST_FORMAT:
+    if not isinstance(manifest, dict) or \
+            manifest.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"not a suite manifest: {path}")
     manifest["_dir"] = os.path.dirname(os.path.abspath(path))
     return manifest

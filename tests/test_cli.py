@@ -766,6 +766,38 @@ class TestGenerate:
         first = manifest["instances"][0]
         assert (out_dir / first["path"]).exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--k", "3", "--method", "count", "--p-att", "0.5"],
+         "--p-att does not apply to --method count"),
+        (["--k", "3", "--method", "empty", "--p-att", "0.5"],
+         "--p-att does not apply to --method empty"),
+        (["--k", "3", "--method", "full", "--p-att", "0.5"],
+         "--p-att does not apply to --method full"),
+        (["--k", "3", "--p-att", "0.5", "--n-att", "2"],
+         "--n-att does not apply to --method probability"),
+        (["--k", "3", "--method", "empty", "--n-att", "2"],
+         "--n-att does not apply to --method empty"),
+        (["--k", "3", "--method", "full", "--n-att", "2"],
+         "--n-att does not apply to --method full"),
+        (["--out", "SUITE", "--p-att", "0.5"],
+         "--p-att does not apply to suite mode"),
+        (["--out", "SUITE", "--n-att", "2"],
+         "--n-att does not apply to suite mode"),
+        *[(["--out", "SUITE", "--scale", scale],
+           "scale must be positive and finite")
+          for scale in ("0", "-1", "nan", "inf")],
+        (["--k", "3", "--p-att", "0.5", "--seed", "-1"],
+         "seed must be a non-negative integer"),
+        (["--out", "SUITE", "--scale", "0.01", "--seed", "-1"],
+         "seed must be a non-negative integer"),
+    ])
+    def test_input_errors(self, capsys, tmp_path, argv, message):
+        code, out, err = run_cli(capsys, ["generate"] + [
+            str(tmp_path / "suite") if a == "SUITE" else a for a in argv])
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 class TestClassify:
     def test_json_counts(self, capsys):
@@ -924,6 +956,18 @@ class TestBenchCommand:
             "--out", str(tmp_path / "r.csv")])
         assert code == 2
         assert "manifest" in err
+
+    def test_non_object_manifest_is_input_error(self, tmp_path):
+        bogus = tmp_path / "manifest.json"
+        bogus.write_text("[]\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "afsat", "bench", "--manifest", str(bogus),
+             "--systems", "C2:builtin", "--out", str(tmp_path / "r.csv")],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=PACKAGE_PARENT))
+        assert proc.returncode == 2
+        assert "not a suite manifest" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestSat:

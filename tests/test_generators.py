@@ -1,17 +1,25 @@
 """Seeded generators and benchmark suite materialization."""
 
+import hashlib
 import itertools
 import json
+import math
 import os
+import random
+import subprocess
+import sys
 
 import pytest
 
-from afsat.fileformats import parse_apx
+import afsat
+from afsat.fileformats import parse_apx, serialize_apx
 from afsat.generators import (
     METHOD_COUNT,
     METHOD_EMPTY,
     METHOD_FULL,
     METHOD_PROBABILITY,
+    _Pcg64,
+    _seed_words,
     build_suite,
     gen_count,
     gen_empty,
@@ -142,6 +150,11 @@ class TestSuitePlan:
         for _, _, _, _, n in suite_classes(scale=0.001):
             assert n >= 1
 
+    @pytest.mark.parametrize("scale", [0, -1, math.nan, math.inf])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            suite_classes(scale=scale)
+
     def test_class_ids_unique(self):
         ids = [c[0] for c in suite_classes()]
         assert len(set(ids)) == len(ids)
@@ -205,6 +218,156 @@ class TestBuildSuite:
 
     def test_load_manifest_rejects_other_json(self, tmp_path):
         p = tmp_path / "manifest.json"
-        p.write_text(json.dumps({"format": "something-else"}))
-        with pytest.raises(ValueError):
-            load_manifest(str(p))
+        for value in ({"format": "something-else"}, [], "x", None, 3):
+            p.write_text(json.dumps(value))
+            with pytest.raises(ValueError, match="not a suite manifest"):
+                load_manifest(str(p))
+
+
+def apx_digest(af):
+    return hashlib.sha256(serialize_apx(af).encode()).hexdigest()
+
+
+def suite_digests(out_dir):
+    """(manifest digest, one digest over every instance file by name)."""
+    files = hashlib.sha256()
+    for name in sorted(os.listdir(out_dir)):
+        if name != "manifest.json":
+            with open(os.path.join(out_dir, name), "rb") as fh:
+                files.update(name.encode() + b"\0" + fh.read())
+    with open(os.path.join(out_dir, "manifest.json"), "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest(), files.hexdigest()
+
+
+class TestGoldenStream:
+    """Digests of frameworks and a suite as numpy 2.4.6 built them, before
+    the generators owned their stream; they hold without numpy."""
+
+    @pytest.mark.parametrize("make, digest", [
+        pytest.param(lambda: gen_probability(100, 0.25, 3),
+                     "16b57e8144750a201576a547ef8953dd"
+                     "6f5770c1474c582eb58bba8d14f01b84",
+                     id="probability-k100"),
+        pytest.param(lambda: gen_probability(200, 0.5, 20260816),
+                     "c0da7dac1aa84bed1466f02371a0cea9"
+                     "1ac27e22a49c62e4d504048c7be68450",
+                     id="probability-k200"),
+        pytest.param(lambda: gen_count(1000, 1000, 5),
+                     "3d22d4cfe6679b6c20b3fcf49e01ec78"
+                     "613662c96ea004abb76466944f0fbf1b",
+                     id="count-k1000"),
+        pytest.param(lambda: gen_count(60, None, 9),
+                     "79373256c93bbbf950c66a3729dd34aa"
+                     "b5a20587f90a4e761e7e32b51f679fe8",
+                     id="count-drawn"),
+        # k*k > 2^32: the 64-bit bounded-integer path
+        pytest.param(lambda: gen_count(70000, 5, 1),
+                     "5936124f302153e964048a311342a363"
+                     "5f700ca4ab35b2943801da93cc72a361",
+                     id="count-k70000"),
+    ])
+    def test_framework(self, make, digest):
+        assert apx_digest(make()) == digest
+
+    def test_suite(self, tmp_path):
+        build_suite(str(tmp_path), scale=0.01, base_seed=7,
+                    classes=suite_classes(scale=0.01))
+        assert len(os.listdir(tmp_path)) == 57
+        assert suite_digests(str(tmp_path)) == (
+            "c6c4e27556914d6b97210385bd3363ca"
+            "dda4b9745b13f135910c160ec982bb2a",
+            "43cc21cdf5e884fff04769a1e9b1d926"
+            "94cf4786948a6ed9feb072f55f7e1b32")
+
+
+SEEDS = (0, 1, 3, 7, 42, 20260816, 2**32 - 1, 2**32, 2**64 + 7,
+         123456789012345678901234567890)
+SPANS = (1, 2, 40_000, 10**6, 2**32 - 1, 2**32, 2**32 + 1, 2**40)
+
+
+class TestStreamMatchesNumpy:
+    """The port against numpy's ``Generator(PCG64(seed))`` and
+    ``SeedSequence``, draw for draw."""
+
+    @pytest.fixture
+    def np(self):
+        return pytest.importorskip("numpy")
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_floats(self, np, seed):
+        theirs = np.random.Generator(np.random.PCG64(seed)).random(200)
+        assert _Pcg64(seed).random(200) == theirs.tolist()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_mixed_draws(self, np, seed):
+        """Integers on every span, each bit width and random spans up to
+        2^62, interleaved with floats, so the 32-bit half kept between
+        draws is exercised too."""
+        ours, theirs = _Pcg64(seed), np.random.Generator(np.random.PCG64(seed))
+        pick = random.Random(seed)
+        for _ in range(400):
+            roll = pick.random()
+            if roll < 0.2:
+                n = pick.randrange(1, 4)
+                assert ours.random(n) == theirs.random(n).tolist()
+                continue
+            if roll < 0.6:
+                span = pick.choice(SPANS)
+            else:
+                span = pick.randrange(1, 2 ** pick.choice((32, 62)))
+            lo = pick.randrange(0, 1000)
+            assert ours.integers(lo, lo + span) == \
+                int(theirs.integers(lo, lo + span))
+
+    @pytest.mark.parametrize("entropy", [
+        [0], [7, 0, 0], [20260816, 31, 199], [2**32 + 5, 2**40, 1],
+        [2**64 + 7, 3, 2**33, 9, 11], [123456789012345678901234567890]])
+    def test_seed_sequence(self, np, entropy):
+        ss = np.random.SeedSequence(entropy)
+        for n_words in (1, 4):
+            assert _seed_words(entropy, n_words) == \
+                ss.generate_state(n_words, np.uint64).tolist()
+
+    def test_numpy_integer_seed(self, np):
+        assert gen_probability(6, 0.5, np.int64(3)) == \
+            gen_probability(6, 0.5, 3)
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_generators_reject(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative"):
+            gen_probability(3, 0.5, seed)
+        with pytest.raises(ValueError, match="seed must be a non-negative"):
+            gen_count(3, 2, seed)
+
+    def test_base_seed_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="seed must be a non-negative"):
+            build_suite(str(tmp_path), base_seed=-1,
+                        classes=TestBuildSuite.CLASSES)
+
+
+def test_numpy_never_loaded():
+    """Generating frameworks and suites, from the library and the command
+    line, runs on the standard library alone."""
+    code = """\
+import contextlib, io, sys, tempfile
+import afsat.bench, afsat.generators
+from afsat.cli import main
+with tempfile.TemporaryDirectory() as d:
+    afsat.generators.build_suite(
+        d + "/lib", base_seed=7,
+        classes=afsat.generators.suite_classes(scale=0.01, k_values=(25,)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "--k", "9", "--p-att", "0.5"]) == 0
+        assert main(["generate", "--k", "9", "--method", "count"]) == 0
+        assert main(["generate", "--out", d + "/cli", "--scale", "0.01",
+                     "--no-extremes"]) == 0
+print("numpy" in sys.modules)
+"""
+    package_parent = os.path.dirname(os.path.dirname(afsat.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ,
+                                              PYTHONPATH=package_parent))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
