@@ -12,10 +12,13 @@ One binary, subcommand style:
 * sat        - plain DIMACS solving (the bridge target for self-hosted
                external-solver setups)
 
-Each call of ``main`` builds only the parser of the command it invokes
-(``COMMANDS`` holds one entry per command); the full eight-command tree is
-built only for ``--help``, ``--version``, a missing or an unknown command.
-Help text, usage lines and error messages are the same either way.
+``main`` builds a parser once per process and per command, at the first
+call that invokes it, and reuses it afterwards. It holds only that
+command's subparser (``COMMANDS`` holds one entry per command); the full
+eight-command tree is built only for ``--help``, ``--version``, a missing
+or an unknown command, all of which share it. Help text, usage lines and
+error messages are the same either way; they are formatted when printed,
+so they follow the terminal width of that moment.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 budget exhausted,
 130 interrupted. JSON output is stable: keys sorted, two-space indent,
@@ -24,6 +27,7 @@ byte-identical output.
 """
 
 import argparse
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
@@ -225,25 +229,34 @@ def cmd_generate(args):
     from . import generators
     from .fileformats import serialize_apx
 
-    # each attack-model flag belongs to the one single-instance method
-    # that reads it
-    for flag, value, method in (("--p-att", args.p_att, "probability"),
-                                ("--n-att", args.n_att, "count")):
-        if value is not None and (args.k is None or args.method != method):
-            where = ("suite mode (no --k)" if args.k is None
-                     else f"--method {args.method}")
+    single = args.k is not None
+    method = args.method or generators.METHOD_PROBABILITY
+    mode = "single mode (--k)" if single else "suite mode (no --k)"
+    # each flag belongs to the one mode, or the one single-instance method,
+    # that reads it; given anywhere else, it is an error, not ignored
+    for flag, value, reader in (
+            ("--p-att", args.p_att, generators.METHOD_PROBABILITY),
+            ("--n-att", args.n_att, generators.METHOD_COUNT)):
+        if value is not None and (not single or method != reader):
+            where = f"--method {method}" if single else mode
             raise ValueError(f"{flag} does not apply to {where}")
-    if args.k is not None:
-        # single-instance mode
-        if args.method == generators.METHOD_PROBABILITY:
+    unread = ((("--scale", args.scale is not None),
+               ("--no-count-classes", args.no_count_classes),
+               ("--no-extremes", args.no_extremes)) if single
+              else (("--method", args.method is not None),))
+    for flag, given in unread:
+        if given:
+            raise ValueError(f"{flag} does not apply to {mode}")
+    if single:
+        if method == generators.METHOD_PROBABILITY:
             if args.p_att is None:
                 raise ValueError("--p-att is required for the probability method")
             param = args.p_att
-        elif args.method == generators.METHOD_COUNT:
+        elif method == generators.METHOD_COUNT:
             param = args.n_att  # None draws the count at random
         else:
             param = None
-        af = generators.generate(args.method, args.k, param, args.seed)
+        af = generators.generate(method, args.k, param, args.seed)
         text = serialize_apx(af)
         if args.out:
             with open(args.out, "w") as fh:
@@ -255,11 +268,12 @@ def cmd_generate(args):
     if not args.out:
         raise ValueError("suite mode needs --out DIRECTORY (or pass --k "
                          "for a single instance)")
+    scale = 1.0 if args.scale is None else args.scale
     classes = generators.suite_classes(
-        scale=args.scale,
+        scale=scale,
         include_count=not args.no_count_classes,
         include_extremes=not args.no_extremes)
-    manifest = generators.build_suite(args.out, scale=args.scale,
+    manifest = generators.build_suite(args.out, scale=scale,
                                       base_seed=args.seed, classes=classes)
     print(f"wrote {len(manifest['instances'])} instances to {args.out}")
     return EXIT_OK
@@ -427,7 +441,7 @@ def _add_query_args(p):
 def _add_generate_args(p):
     p.add_argument("--out", default=None,
                    help="suite directory, or output file in single mode")
-    p.add_argument("--scale", type=float, default=1.0,
+    p.add_argument("--scale", type=float, default=None,
                    help="suite size factor (default 1.0 = 2816 instances)")
     p.add_argument("--seed", type=int, default=0,
                    help="base seed (default 0)")
@@ -439,7 +453,7 @@ def _add_generate_args(p):
                    help="single mode: argument count")
     p.add_argument("--method",
                    choices=("probability", "count", "empty", "full"),
-                   default="probability", help="single mode: attack model")
+                   default=None, help="single mode: attack model")
     p.add_argument("--p-att", type=float, default=None,
                    help="single mode: attack probability")
     p.add_argument("--n-att", type=int, default=None,
@@ -517,11 +531,21 @@ def build_parser(command=None):
     return parser
 
 
+@functools.cache
+def _parser(command):
+    """``build_parser(command)``, built once per process. Keyed only by a
+    name in ``COMMANDS`` or None, so it holds at most one parser more than
+    there are commands."""
+    return build_parser(command)
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    # argparse costs milliseconds per subparser; build only the one invoked
-    parser = build_parser(argv[0] if argv else None)
+    # building a parser costs more than parsing with it, and parse_args
+    # leaves it unchanged: build each command's once per process, and only
+    # the one invoked
+    parser = _parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -55,17 +55,23 @@ _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
+def _seed_value(seed):
+    """``seed`` as an int; ValueError unless it is a non-negative integer."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1  # rejected below
+    if value < 0:
+        raise ValueError(f"seed must be a non-negative integer: {seed!r}")
+    return value
+
+
 def _seed_words(entropy, n_words):
     """numpy's ``SeedSequence(entropy).generate_state(n_words, uint64)``
     for a list of non-negative ints (an int seed s reads as [s])."""
     words = []
     for seed in entropy:
-        try:
-            value = operator.index(seed)
-        except TypeError:
-            value = -1  # rejected below
-        if value < 0:
-            raise ValueError(f"seed must be a non-negative integer: {seed!r}")
+        value = _seed_value(seed)
         words.append(value & _M32)
         while value > _M32:  # 32-bit words, least significant first
             value >>= 32
@@ -258,6 +264,7 @@ def build_suite(out_dir, scale=1.0, base_seed=0, classes=None):
     """
     if classes is None:
         classes = suite_classes(scale)
+    _seed_value(base_seed)  # before anything is written
     os.makedirs(out_dir, exist_ok=True)
     instances = []
     for class_index, (class_id, method, k, param, count) in enumerate(classes):

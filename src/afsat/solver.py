@@ -16,6 +16,7 @@ built by one factory draws on: conflicts here, wall-clock seconds for the
 external backend (``extsolver``).
 """
 
+import math
 from heapq import heapify, heappop, heappush
 
 from .cnf import normalize_clause
@@ -33,8 +34,8 @@ class Budget:
     __slots__ = ("limit", "used")
 
     def __init__(self, limit):
-        if limit <= 0:
-            raise ValueError("budget must be positive")
+        if not 0 < limit < math.inf:  # NaN fails too
+            raise ValueError(f"budget must be positive and finite: {limit}")
         self.limit = limit
         self.used = 0
 

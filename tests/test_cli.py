@@ -26,7 +26,7 @@ import sys
 import pytest
 
 import afsat
-from afsat import __version__
+from afsat import __version__, cli
 from afsat.cli import COMMANDS, _json_text, build_parser, main
 from afsat.cnf import parse_dimacs
 from afsat.generators import METHOD_PROBABILITY, build_suite, generate
@@ -556,6 +556,12 @@ class TestBudgetFlags:
                      "budget must be positive", id="solver-zero"),
         pytest.param(["--solver", "REFDPLL", "--solver-budget", "-1"],
                      "budget must be positive", id="solver-negative"),
+        pytest.param(["--solver", "REFDPLL", "--solver-budget", "inf"],
+                     "budget must be positive and finite: inf",
+                     id="solver-inf"),
+        pytest.param(["--solver", "REFDPLL", "--solver-budget", "nan"],
+                     "budget must be positive and finite: nan",
+                     id="solver-nan"),
     ])
     def test_rejected(self, capsys, tmp_path, command, flags, message):
         path = af_file(tmp_path, rings_apx("abcd", "efgh"))
@@ -783,6 +789,20 @@ class TestGenerate:
          "--p-att does not apply to suite mode"),
         (["--out", "SUITE", "--n-att", "2"],
          "--n-att does not apply to suite mode"),
+        # the suite-only flags in single mode, and --method in suite mode,
+        # even at their help's default values
+        (["--k", "2", "--p-att", "0.5", "--scale", "-1", "--no-extremes"],
+         "--scale does not apply to single mode (--k)"),
+        (["--k", "2", "--p-att", "0.5", "--scale", "1.0"],
+         "--scale does not apply to single mode (--k)"),
+        (["--k", "2", "--p-att", "0.5", "--no-count-classes"],
+         "--no-count-classes does not apply to single mode (--k)"),
+        (["--k", "2", "--method", "full", "--no-extremes"],
+         "--no-extremes does not apply to single mode (--k)"),
+        (["--out", "SUITE", "--method", "count"],
+         "--method does not apply to suite mode (no --k)"),
+        (["--out", "SUITE", "--method", "probability"],
+         "--method does not apply to suite mode (no --k)"),
         *[(["--out", "SUITE", "--scale", scale],
            "scale must be positive and finite")
           for scale in ("0", "-1", "nan", "inf")],
@@ -797,6 +817,8 @@ class TestGenerate:
         assert code == 2
         assert out == ""
         assert message in err
+        # rejected before the suite directory is made
+        assert not (tmp_path / "suite").exists()
 
 
 class TestClassify:
@@ -1019,9 +1041,15 @@ def subparsers(parser):
     return action.choices
 
 
+USAGE = "usage: afsat [-h] [--version] COMMAND ...\n"
+CHOICES = ("(choose from 'parse', 'encode', 'enumerate', 'query', "
+           "'generate', 'classify', 'bench', 'sat')")
+
+
 class TestParserPerCommand:
-    """main builds only the invoked command's subparser; it must read and
-    report exactly as the same subparser inside the full tree."""
+    """main builds only the invoked command's subparser, once per process;
+    it must read and report exactly as the same subparser inside a freshly
+    built full tree."""
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_same_help_and_usage_as_in_full_tree(self, command):
@@ -1054,9 +1082,7 @@ class TestParserPerCommand:
 
     @pytest.mark.parametrize("argv, message", [
         ([], "the following arguments are required: COMMAND"),
-        (["bogus"], "argument COMMAND: invalid choice: 'bogus' (choose from "
-                    "'parse', 'encode', 'enumerate', 'query', 'generate', "
-                    "'classify', 'bench', 'sat')"),
+        (["bogus"], f"argument COMMAND: invalid choice: 'bogus' {CHOICES}"),
         # runs go one at a time; concurrent runs would load each other
         (["bench", "--manifest", "m", "--systems", "C2:builtin",
           "--out", "r.csv", "--jobs", "2"],
@@ -1066,9 +1092,89 @@ class TestParserPerCommand:
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 1
-        assert capsys.readouterr().err == (
-            "usage: afsat [-h] [--version] COMMAND ...\n"
-            f"afsat: error: {message}\n")
+        assert capsys.readouterr().err == USAGE + f"afsat: error: {message}\n"
+
+    def test_second_call_builds_nothing(self, capsys, tmp_path, monkeypatch):
+        path = af_file(tmp_path, MUTUAL_APX)
+        add_argument = argparse.ArgumentParser.add_argument
+        calls = []
+
+        def counting(parser, *args, **kwargs):
+            calls.append(args)
+            return add_argument(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        cli._parser.cache_clear()
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert run_cli(capsys, ["enumerate", path])[0] == 0
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts[1] == 0
+
+    def test_unknown_commands_do_not_grow_the_cache(self, capsys):
+        cli._parser.cache_clear()
+        for command in COMMANDS:
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+        for i in range(50):
+            with pytest.raises(SystemExit) as info:
+                main([f"bogus{i}"])
+            assert info.value.code == 1
+            assert capsys.readouterr().err == USAGE + (
+                f"afsat: error: argument COMMAND: invalid choice: "
+                f"'bogus{i}' {CHOICES}\n")
+        assert cli._parser.cache_info().currsize <= len(COMMANDS) + 1
+
+    def test_cached_help_follows_terminal_width(self, capsys, monkeypatch):
+        cli._parser.cache_clear()
+        helps = []
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit) as info:
+                main(["enumerate", "--help"])
+            assert info.value.code == 0
+            helps.append(capsys.readouterr().out)
+            fresh = subparsers(build_parser("enumerate"))["enumerate"]
+            assert helps[-1] == fresh.format_help()
+        assert helps[0] != helps[1]
+        assert cli._parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("extra", [
+        ["--semantics", "grounded"], ["--conflict-budget", "x"], ["--jobs"]],
+        ids=["choice", "type", "unrecognized"])
+    def test_usage_error_after_success_as_in_fresh_process(
+            self, capsys, tmp_path, monkeypatch, extra):
+        monkeypatch.setenv("COLUMNS", "80")
+        path = af_file(tmp_path, MUTUAL_APX)
+        assert run_cli(capsys, ["enumerate", path])[0] == 0
+        argv = ["enumerate", path] + extra
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        proc = subprocess.run(
+            [sys.executable, "-m", "afsat"] + argv, capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=PACKAGE_PARENT))
+        assert proc.returncode == 1
+        assert err == proc.stderr
+
+    def test_import_builds_no_parser(self):
+        code = ("import argparse\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counting(parser, *args, **kwargs):\n"
+                "    built.append(args)\n"
+                "    init(parser, *args, **kwargs)\n"
+                "argparse.ArgumentParser.__init__ = counting\n"
+                "import afsat.cli\n"
+                "assert built == [], built\n"
+                "assert afsat.cli._parser.cache_info().currsize == 0\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=PACKAGE_PARENT))
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestUsageAndMeta:

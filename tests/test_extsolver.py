@@ -1,5 +1,6 @@
 """External solver bridge: protocol handling, verification, sessions."""
 
+import math
 import random
 import sys
 import time
@@ -43,7 +44,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="empty solver command"):
             external_session_factory([])
 
-    @pytest.mark.parametrize("budget_s", [0, -1.5])
+    @pytest.mark.parametrize("budget_s", [0, -1.5, math.inf, math.nan])
     def test_budget_must_be_positive(self, budget_s):
         with pytest.raises(ValueError, match="budget must be positive"):
             external_session_factory(REF, budget_s=budget_s)

@@ -1,5 +1,6 @@
 """Built-in CDCL solver against truth-table ground truth."""
 
+import math
 import random
 from itertools import combinations
 
@@ -366,7 +367,7 @@ class TestFactory:
         s = make(f)
         assert s.solve()[1] is True
 
-    @pytest.mark.parametrize("limit", [0, -3])
+    @pytest.mark.parametrize("limit", [0, -3, math.inf, math.nan])
     def test_budget_must_be_positive(self, limit):
         # 0 is not "unlimited": None is
         with pytest.raises(ValueError, match="budget must be positive"):
