@@ -789,6 +789,13 @@ class TestGenerate:
          "--p-att does not apply to suite mode"),
         (["--out", "SUITE", "--n-att", "2"],
          "--n-att does not apply to suite mode"),
+        *[(["--out", "SUITE", "--scale", scale],
+           "scale must be positive and finite")
+          for scale in ("0", "-1", "nan", "inf")],
+        (["--k", "3", "--p-att", "0.5", "--seed", "-1"],
+         "seed must be a non-negative integer"),
+        (["--out", "SUITE", "--scale", "0.01", "--seed", "-1"],
+         "seed must be a non-negative integer"),
         # the suite-only flags in single mode, and --method in suite mode,
         # even at their help's default values
         (["--k", "2", "--p-att", "0.5", "--scale", "-1", "--no-extremes"],
@@ -803,13 +810,6 @@ class TestGenerate:
          "--method does not apply to suite mode (no --k)"),
         (["--out", "SUITE", "--method", "probability"],
          "--method does not apply to suite mode (no --k)"),
-        *[(["--out", "SUITE", "--scale", scale],
-           "scale must be positive and finite")
-          for scale in ("0", "-1", "nan", "inf")],
-        (["--k", "3", "--p-att", "0.5", "--seed", "-1"],
-         "seed must be a non-negative integer"),
-        (["--out", "SUITE", "--scale", "0.01", "--seed", "-1"],
-         "seed must be a non-negative integer"),
     ])
     def test_input_errors(self, capsys, tmp_path, argv, message):
         code, out, err = run_cli(capsys, ["generate"] + [
