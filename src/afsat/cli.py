@@ -12,13 +12,9 @@ One binary, subcommand style:
 * sat        - plain DIMACS solving (the bridge target for self-hosted
                external-solver setups)
 
-``main`` builds a parser once per process and per command, at the first
-call that invokes it, and reuses it afterwards. It holds only that
-command's subparser (``COMMANDS`` holds one entry per command); the full
-eight-command tree is built only for ``--help``, ``--version``, a missing
-or an unknown command, all of which share it. Help text, usage lines and
-error messages are the same either way; they are formatted when printed,
-so they follow the terminal width of that moment.
+``main`` builds the parser once per process, at its first call, and
+reuses it afterwards. Help text, usage lines and error messages are
+formatted when printed, so they follow the terminal width of that moment.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 budget exhausted,
 130 interrupted. JSON output is stable: keys sorted, two-space indent,
@@ -232,14 +228,17 @@ def cmd_generate(args):
     single = args.k is not None
     method = args.method or generators.METHOD_PROBABILITY
     mode = "single mode (--k)" if single else "suite mode (no --k)"
-    # each flag belongs to the one mode, or the one single-instance method,
-    # that reads it; given anywhere else, it is an error, not ignored
-    for flag, value, reader in (
-            ("--p-att", args.p_att, generators.METHOD_PROBABILITY),
-            ("--n-att", args.n_att, generators.METHOD_COUNT)):
-        if value is not None and (not single or method != reader):
+    # each flag belongs to the single-instance methods, or suite mode (None),
+    # that read it; given anywhere else, it is an error, not ignored
+    seeded = (generators.METHOD_PROBABILITY, generators.METHOD_COUNT, None)
+    for flag, value, readers in (
+            ("--p-att", args.p_att, (generators.METHOD_PROBABILITY,)),
+            ("--n-att", args.n_att, (generators.METHOD_COUNT,)),
+            ("--seed", args.seed, seeded)):
+        if value is not None and (method if single else None) not in readers:
             where = f"--method {method}" if single else mode
             raise ValueError(f"{flag} does not apply to {where}")
+    seed = 0 if args.seed is None else args.seed
     unread = ((("--scale", args.scale is not None),
                ("--no-count-classes", args.no_count_classes),
                ("--no-extremes", args.no_extremes)) if single
@@ -256,7 +255,7 @@ def cmd_generate(args):
             param = args.n_att  # None draws the count at random
         else:
             param = None
-        af = generators.generate(method, args.k, param, args.seed)
+        af = generators.generate(method, args.k, param, seed)
         text = serialize_apx(af)
         if args.out:
             with open(args.out, "w") as fh:
@@ -274,7 +273,7 @@ def cmd_generate(args):
         include_count=not args.no_count_classes,
         include_extremes=not args.no_extremes)
     manifest = generators.build_suite(args.out, scale=scale,
-                                      base_seed=args.seed, classes=classes)
+                                      base_seed=seed, classes=classes)
     print(f"wrote {len(manifest['instances'])} instances to {args.out}")
     return EXIT_OK
 
@@ -443,7 +442,7 @@ def _add_generate_args(p):
                    help="suite directory, or output file in single mode")
     p.add_argument("--scale", type=float, default=None,
                    help="suite size factor (default 1.0 = 2816 instances)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int, default=None,
                    help="base seed (default 0)")
     p.add_argument("--no-count-classes", action="store_true",
                    help="suite: skip the count-model classes")
@@ -513,40 +512,26 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None):
-    """The ``afsat`` parser. When ``command`` names a subcommand, only that
-    subparser is added; otherwise (help, version, no or an unknown command)
-    all of them are, so that listings and errors name every command."""
+def build_parser():
+    """The ``afsat`` parser."""
     parser = _Parser(prog="afsat",
                      description="SAT-based preferred-extension tools for "
                                  "abstract argumentation frameworks")
     parser.add_argument("--version", action="version",
                         version=f"afsat {__version__}")
     subs = parser.add_subparsers(dest="cmd", required=True, metavar="COMMAND")
-    for name in [command] if command in COMMANDS else COMMANDS:
-        help_text, add_args, handler = COMMANDS[name]
+    for name, (help_text, add_args, handler) in COMMANDS.items():
         p = subs.add_parser(name, help=help_text)
         add_args(p)
         p.set_defaults(func=handler)
     return parser
 
 
-@functools.cache
-def _parser(command):
-    """``build_parser(command)``, built once per process. Keyed only by a
-    name in ``COMMANDS`` or None, so it holds at most one parser more than
-    there are commands."""
-    return build_parser(command)
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
-    # building a parser costs more than parsing with it, and parse_args
-    # leaves it unchanged: build each command's once per process, and only
-    # the one invoked
-    parser = _parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -283,18 +283,26 @@ def to_dimacs(formula, comments=()):
 
 
 def parse_dimacs(text):
-    """Parse DIMACS CNF text. Tolerates '%' terminator lines and trailing
-    blank lines; requires the problem line before any clause."""
+    """Parse DIMACS CNF text. Requires one problem line, before any clause.
+    Tolerates clauses that span lines, a missing final 0, blank lines, and a
+    '%' line, which ends the input as in SATLIB files. An empty clause is an
+    error, not dropped."""
     num_vars = None
     declared_clauses = None
-    lits = []
+    clauses = []
+    current = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if num_vars is not None:
+                raise ValueError(f"line {lineno}: second problem line")
             parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+            if len(parts) != 4 or parts[:2] != ["p", "cnf"] or \
+                    not all(map(str.isdecimal, parts[2:])):
                 raise ValueError(f"line {lineno}: bad problem line: {raw!r}")
             num_vars = int(parts[2])
             declared_clauses = int(parts[3])
@@ -302,23 +310,22 @@ def parse_dimacs(text):
         if num_vars is None:
             raise ValueError(f"line {lineno}: clause before problem line")
         try:
-            lits.extend(int(tok) for tok in line.split())
+            lits = [int(tok) for tok in line.split()]
         except ValueError:
             raise ValueError(f"line {lineno}: bad clause token in {raw!r}") from None
-    if num_vars is None:
-        raise ValueError("missing problem line")
-    clauses = []
-    current = []
-    for lit in lits:
-        if lit == 0:
-            if current:
+        for lit in lits:
+            if lit:
+                current.append(lit)
+            elif current:
                 clauses.append(current)
                 current = []
-        else:
-            current.append(lit)
+            else:
+                raise ValueError(f"line {lineno}: empty clause")
+    if num_vars is None:
+        raise ValueError("missing problem line")
     if current:
         clauses.append(current)  # tolerate a missing final 0
-    if declared_clauses is not None and len(clauses) != declared_clauses:
+    if len(clauses) != declared_clauses:
         raise ValueError(f"problem line declares {declared_clauses} clauses, "
                          f"found {len(clauses)}")
     return CnfFormula(num_vars, clauses)

@@ -292,8 +292,15 @@ def build_suite(out_dir, scale=1.0, base_seed=0, classes=None):
     return manifest
 
 
+# the instance-row keys bench reads, all of which build_suite writes
+_ROW_KEYS = (("id", str), ("path", str), ("class_id", str), ("method", str),
+             ("k", int))
+
+
 def load_manifest(path):
-    """Read a suite manifest; accepts the directory or the file path."""
+    """Read a suite manifest; accepts the directory or the file path.
+    ValueError unless every instance row holds the keys bench reads, under
+    an id no other row has (bench scores and resumes by id)."""
     if os.path.isdir(path):
         path = os.path.join(path, MANIFEST_NAME)
     with open(path) as fh:
@@ -301,6 +308,24 @@ def load_manifest(path):
     if not isinstance(manifest, dict) or \
             manifest.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"not a suite manifest: {path}")
+    instances = manifest.get("instances")
+    if not isinstance(instances, list):
+        raise ValueError(f"not a suite manifest: {path}: "
+                         "'instances' must be a list")
+    ids = set()
+    for i, row in enumerate(instances):
+        if not isinstance(row, dict):
+            raise ValueError(f"not a suite manifest: {path}: "
+                             f"instances[{i}] must be an object")
+        for key, kind in _ROW_KEYS:
+            if type(row.get(key)) is not kind:
+                raise ValueError(f"not a suite manifest: {path}: instances"
+                                 f"[{i}] has no {key!r} of type "
+                                 f"{kind.__name__}")
+        if row["id"] in ids:
+            raise ValueError(f"not a suite manifest: {path}: instances"
+                             f"[{i}] repeats id {row['id']!r}")
+        ids.add(row["id"])
     manifest["_dir"] = os.path.dirname(os.path.abspath(path))
     return manifest
 

@@ -354,6 +354,9 @@ class TestDimacs:
         # clause split across lines, missing final 0
         f = parse_dimacs("p cnf 3 1\n1 2\n3\n")
         assert f.clauses == ((1, 2, 3),)
+        # SATLIB files end with a '%' line and a lone 0 after it
+        f = parse_dimacs("p cnf 2 1\n1 -2 0\n%\n0\n\n")
+        assert f.clauses == ((1, -2),)
 
     def test_parse_errors(self):
         with pytest.raises(ValueError, match="problem line"):
@@ -366,6 +369,17 @@ class TestDimacs:
             parse_dimacs("p cnf 2 2\n1 0\n")
         with pytest.raises(ValueError, match="missing problem line"):
             parse_dimacs("c nothing\n")
+        for text, message in (
+                ("p cnf 1 1\n0\n1 0\n", "line 2: empty clause"),
+                ("p cnf 2 2\n1 0 0\n", "line 2: empty clause"),
+                ("p cnf 2 2\n1 0\np cnf 2 2\n-1 0\n",
+                 "line 3: second problem line"),
+                ("p cnf x 1\n1 0\n", "line 1: bad problem line"),
+                ("p cnf -2 0\n", "line 1: bad problem line"),
+                ("c x\np cnf 2 -1\n", "line 2: bad problem line"),
+                ("p cnf 1.5 1\n1 0\n", "line 1: bad problem line")):
+            with pytest.raises(ValueError, match=message):
+                parse_dimacs(text)
 
     def test_byte_determinism(self):
         a = to_dimacs(encode(CYCLE3, EncodingId.C1), ["x"])

@@ -14,6 +14,7 @@ import pytest
 import afsat
 from afsat.fileformats import parse_apx, serialize_apx
 from afsat.generators import (
+    MANIFEST_FORMAT,
     METHOD_COUNT,
     METHOD_EMPTY,
     METHOD_FULL,
@@ -222,6 +223,34 @@ class TestBuildSuite:
             p.write_text(json.dumps(value))
             with pytest.raises(ValueError, match="not a suite manifest"):
                 load_manifest(str(p))
+        row = {"id": "x", "path": "x.apx", "class_id": "c", "method": "full",
+               "k": 2}
+        for instances, message in (
+                (None, "'instances' must be a list"),
+                ({"x": row}, "'instances' must be a list"),
+                ([row, "x"], r"instances\[1\] must be an object"),
+                ([{"id": "x"}], r"instances\[0\] has no 'path' of type str"),
+                ([row, dict(row, id=3)],
+                 r"instances\[1\] has no 'id' of type str"),
+                ([dict(row, class_id=None)],
+                 r"instances\[0\] has no 'class_id' of type str"),
+                ([dict(row, method=["full"])],
+                 r"instances\[0\] has no 'method' of type str"),
+                *[([dict(row, k=k)], r"instances\[0\] has no 'k' of type int")
+                  for k in ("2", 2.0, True)],
+                # bench scores and resumes by id
+                ([row, dict(row, path="y.apx", k=3)],
+                 r"instances\[1\] repeats id 'x'")):
+            manifest = {"format": MANIFEST_FORMAT}
+            if instances is not None:
+                manifest["instances"] = instances
+            p.write_text(json.dumps(manifest))
+            with pytest.raises(ValueError, match=rf"^not a suite manifest: "
+                                                 rf".*: {message}$"):
+                load_manifest(str(p))
+        manifest = {"format": MANIFEST_FORMAT, "instances": [row]}
+        p.write_text(json.dumps(manifest))
+        assert load_manifest(str(p))["instances"] == [row]
 
 
 def apx_digest(af):
