@@ -47,10 +47,12 @@ class BenchRecord:
     def __init__(self, instance_id, system_id, outcome, seconds, detail=""):
         if outcome not in (OUTCOME_SOLVED, OUTCOME_TIMEOUT, OUTCOME_ERROR):
             raise ValueError(f"bad outcome: {outcome!r}")
+        self.seconds = float(seconds)
+        if not 0 <= self.seconds < math.inf:  # NaN fails too
+            raise ValueError(f"bad run time: {seconds!r}")
         self.instance_id = instance_id
         self.system_id = system_id
         self.outcome = outcome
-        self.seconds = float(seconds)
         self.detail = detail
 
     def __repr__(self):

@@ -52,6 +52,14 @@ def _read_text(path):
         return fh.read()
 
 
+def _write_text(text, path):
+    if not path:  # no --out
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _read_af(args):
     from .fileformats import parse
 
@@ -140,11 +148,7 @@ def cmd_encode(args):
     formula = encode(af, encoding, nonempty=not args.without_nonempty)
     source = None if args.input == "-" else args.input
     text = to_dimacs(formula, standard_comments(af, encoding, source=source))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(text, args.out)
     return EXIT_OK
 
 
@@ -256,12 +260,7 @@ def cmd_generate(args):
         else:
             param = None
         af = generators.generate(method, args.k, param, seed)
-        text = serialize_apx(af)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_text(serialize_apx(af), args.out)
         return EXIT_OK
 
     if not args.out:

@@ -34,6 +34,12 @@ class SizeCapExceeded(RuntimeError):
     """An exhaustive check would scan more subsets than the cap allows."""
 
 
+def _check_cap(af, max_args):
+    if af.k > max_args:
+        raise SizeCapExceeded(
+            f"{af.k} arguments exceed the cap of {max_args} for exhaustive scans")
+
+
 class ArgumentationFramework:
     """Immutable attack graph over named arguments.
 
@@ -244,9 +250,7 @@ def is_preferred(af, s, max_args=SIZE_CAP):
 
     Scans all supersets, so it refuses frameworks above ``max_args``.
     """
-    if af.k > max_args:
-        raise SizeCapExceeded(
-            f"{af.k} arguments exceed the cap of {max_args} for superset scans")
+    _check_cap(af, max_args)
     s = frozenset(s)
     if not is_admissible(af, s):
         return False

@@ -14,7 +14,9 @@ outcome the built-in solver uses, never as unsatisfiable.
 ``ExternalSession`` wraps the one-shot bridge in the session interface the
 enumeration code expects (``add_clause`` / ``solve(assumptions=())``) by
 keeping the clause list and re-emitting the whole accumulated formula on
-every call, with that call's assumptions added as unit clauses. The
+every call, with that call's assumptions added as unit clauses. Kept
+clauses are normalized once, when they are added; each call checks only
+its assumptions, by the same clause rule. The
 sessions of one factory share one ``Budget`` pool of seconds, as the
 built-in solver's share one of conflicts: each call may run for what is
 left of it and then spends the wall time it took.
@@ -134,9 +136,10 @@ class ExternalSession:
 
     def solve(self, assumptions=()):
         """Model of the accumulated clauses plus the assumptions as units,
-        or None. The assumptions belong to this call only. Raises
-        BudgetExhausted, without starting the solver, once the shared
-        budget has no seconds left."""
+        or None. The assumptions belong to this call only; a literal that
+        add_clause would reject raises ValueError. Raises BudgetExhausted,
+        without starting the solver, once the shared budget has no seconds
+        left."""
         if self._unsat:
             return None
         budget = self._budget
@@ -145,8 +148,10 @@ class ExternalSession:
             raise BudgetExhausted(f"budget of {budget.limit}s exhausted")
         self.stats["calls"] += 1
         start = time.monotonic()
-        formula = CnfFormula(self.num_vars,
-                             self._clauses + [(lit,) for lit in assumptions])
+        n = self.num_vars
+        formula = CnfFormula._normalized(
+            n, self._clauses + [normalize_clause((lit,), n)
+                                for lit in assumptions])
         try:
             return solve_external(self._command, formula, timeout)
         finally:

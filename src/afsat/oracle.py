@@ -8,17 +8,11 @@ the CNF encodings and the solver by construction.
 
 from itertools import product
 
-from .core import (LABELS, SIZE_CAP, Labelling, SizeCapExceeded,
+from .core import (LABELS, SIZE_CAP, Labelling, _check_cap,
                    is_complete_labelling)
 
 # 3^k labelling scans are pricier than 2^k subset scans; separate cap.
 LABELLING_CAP = 12
-
-
-def _check_cap(af, max_args):
-    if af.k > max_args:
-        raise SizeCapExceeded(
-            f"{af.k} arguments exceed the cap of {max_args} for exhaustive scans")
 
 
 def _bit_tables(af):

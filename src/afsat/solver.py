@@ -86,14 +86,17 @@ class Solver:
 
         The formula's clauses are already range-checked, free of duplicate
         literals and tautologies, and non-empty, so they skip add_clause.
-        Units are enqueued and longer clauses attached as they are; nothing
+        Units are assigned and longer clauses attached as they are; nothing
         has propagated yet, so the first propagation sees every clause,
         including those whose watched literals the units falsify.
         """
         s = cls(formula.num_vars, budget=budget)
         for clause in formula.clauses:
             if len(clause) == 1:
-                if not s._enqueue(clause[0], None):
+                cur = s._val[clause[0] + s._n]
+                if cur is None:
+                    s._assign(clause[0], None)
+                elif cur is False:
                     s._unsat = True
                     break
             else:
@@ -111,15 +114,6 @@ class Solver:
         self._level[v] = len(self._trail_lim)
         self._reason[v] = reason
         self._trail.append(lit)
-
-    def _enqueue(self, lit, reason):
-        cur = self._val[lit + self._n]
-        if cur is True:
-            return True
-        if cur is False:
-            return False
-        self._assign(lit, reason)
-        return True
 
     def _backtrack(self, target):
         if len(self._trail_lim) <= target:
@@ -168,8 +162,7 @@ class Solver:
             self._unsat = True
             return
         if len(out) == 1:
-            if not self._enqueue(out[0], None):
-                self._unsat = True
+            self._assign(out[0], None)  # unassigned at level 0, as filtered
             return
         self._attach(out)
 
@@ -325,7 +318,8 @@ class Solver:
         call returns. Returns a list indexed by variable (entry 0 unused,
         True/False per variable) or None when unsatisfiable under the
         assumptions. Only unsatisfiability without assumptions is
-        permanent. Raises BudgetExhausted when the shared conflict budget
+        permanent. A literal that add_clause would reject raises
+        ValueError. Raises BudgetExhausted when the shared conflict budget
         runs out; the outcome is then unknown and the session stays usable.
         A call that propagation alone refutes, before any decision, spends
         no budget.
@@ -333,9 +327,7 @@ class Solver:
         if self._unsat:
             return None
         n = self._n
-        for lit in assumptions:
-            if lit == 0 or abs(lit) > n:
-                raise ValueError(f"literal out of range: {lit}")
+        normalize_clause(assumptions, n)  # raises where add_clause would
         self._backtrack(0)
         if self._propagate() is not None:
             # refuted by propagation alone: no search, so no budget spent
@@ -362,9 +354,8 @@ class Solver:
                 learnt, bt = self._analyze(confl)
                 self._backtrack(bt)
                 if len(learnt) == 1:
-                    if not self._enqueue(learnt[0], None):
-                        self._unsat = True
-                        return None
+                    # its variable was assigned above level 0, so is free now
+                    self._assign(learnt[0], None)
                 else:
                     self._attach(learnt)
                     self._assign(learnt[0], learnt)

@@ -300,6 +300,7 @@ def scaled_bench(tmp_path_factory):
     return suite_dir, systems, records
 
 
+@pytest.mark.slow
 def test_criterion_6_encoding_ordering(capsys, scaled_bench):
     suite_dir, systems, records = scaled_bench
     problems = [f"harness error on {r.instance_id}/{r.system_id}"
@@ -321,6 +322,7 @@ def test_criterion_6_encoding_ordering(capsys, scaled_bench):
                    f"runner-up {runner_up:.1f}")
 
 
+@pytest.mark.slow
 def test_criterion_7_solver_cross_validation(capsys, random_instances):
     command = [sys.executable, REFDPLL]
     formulas = []

@@ -382,7 +382,11 @@ class TestRunner:
         "probT-000,C2:builtin,solved,1.0,extra",
         "probT-000,C2:builtin,solved,fast",
         "probT-000,C2:builtin,maybe,1.0",
-    ], ids=["truncated", "extra-field", "bad-seconds", "bad-outcome"])
+        "probT-000,C2:builtin,solved,nan",
+        "probT-000,C2:builtin,solved,inf",
+        "probT-000,C2:builtin,solved,-1",
+    ], ids=["truncated", "extra-field", "bad-seconds", "bad-outcome",
+            "nan-seconds", "inf-seconds", "negative-seconds"])
     def test_read_records_rejects_malformed_row(self, tmp_path, row):
         p = tmp_path / "results.csv"
         p.write_text("# afsat bench\n" + ",".join(CSV_HEADER) + "\n"

@@ -919,6 +919,19 @@ class TestBenchCommand:
         assert out == ""
         assert err.startswith(f"afsat: error: bad row in {out_csv}, line 3: ")
 
+    def test_non_finite_run_time_is_input_error(self, capsys, suite_dir,
+                                                tmp_path):
+        out_csv = tmp_path / "r.csv"
+        out_csv.write_text("# afsat bench\ninstance_id,system_id,outcome,"
+                           "seconds\nprobT-000,C2:builtin,solved,nan\n")
+        code, out, err = run_cli(capsys, [
+            "bench", "--manifest", suite_dir, "--systems", "C2:builtin",
+            "--out", str(out_csv)])
+        assert code == 2
+        assert out == ""
+        assert err == (f"afsat: error: bad row in {out_csv}, line 3: "
+                       "bad run time: 'nan'\n")
+
     def test_bad_system_spec_is_input_error(self, capsys, suite_dir, tmp_path):
         code, _, err = run_cli(capsys, [
             "bench", "--manifest", suite_dir, "--systems", "C2:magic",

@@ -1,5 +1,7 @@
 """CNF encodings: clause counts, model sets, DIMACS serialization."""
 
+import re
+
 import pytest
 
 from afsat.cnf import (
@@ -20,6 +22,7 @@ from afsat.cnf import (
 )
 from afsat.constraints import Term
 from afsat.core import IN, OUT, UNDEC
+from afsat import extsolver
 from afsat.extsolver import ExternalSession
 from afsat.oracle import oracle_complete_labellings
 from afsat.solver import Solver
@@ -160,6 +163,34 @@ class TestNormalizeClause:
                 add(lits)
         assert solver._clauses == [] and external._clauses == []
         assert solver.solve() is not None
+
+    @pytest.mark.parametrize("assumptions", [[1.5], ["1"], [None], [0], [4]],
+                             ids=["float", "string", "none", "zero",
+                                  "out-of-range"])
+    def test_assumptions_follow_the_clause_rule(self, monkeypatch,
+                                                assumptions):
+        with pytest.raises(ValueError) as want:
+            normalize_clause(assumptions, 3)
+        started = []
+        monkeypatch.setattr(extsolver, "solve_external",
+                            lambda *args: started.append(args))
+        for session in (Solver(3), ExternalSession("unused", CnfFormula(3))):
+            with pytest.raises(ValueError,
+                               match=f"^{re.escape(str(want.value))}$"):
+                session.solve(assumptions)
+        assert started == []  # the external session started no command
+
+    def test_true_assumption_is_literal_one(self, monkeypatch):
+        given = []
+
+        def solve_external(command, formula, timeout=None):
+            given.append(formula)
+            return [False, True, False, False]
+
+        monkeypatch.setattr(extsolver, "solve_external", solve_external)
+        assert Solver(3).solve([True])[1] is True
+        assert ExternalSession("unused", CnfFormula(3)).solve([True])[1]
+        assert to_dimacs(given[0]) == "p cnf 3 1\n1 0\n"
 
     def test_numpy_integers_accepted(self):
         np = pytest.importorskip("numpy")

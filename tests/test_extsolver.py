@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from afsat.cnf import CnfFormula, EncodingId, encode
+from afsat import extsolver
+from afsat.cnf import CnfFormula, EncodingId, encode, to_dimacs
 from afsat.extsolver import (
+    ExternalSession,
     SolverProtocolError,
     external_session_factory,
     solve_external,
@@ -166,6 +168,32 @@ class TestExternalSession:
         session = make(CnfFormula(1, [[1]]))
         with pytest.raises(ValueError):
             session.add_clause([2])
+
+    def test_each_call_writes_kept_clauses_plus_units(self, monkeypatch):
+        # kept + units, re-normalized as one CnfFormula, is the formula the
+        # session wrote when it normalized every clause on every call
+        given = []
+        monkeypatch.setattr(extsolver, "solve_external",
+                            lambda command, formula, timeout: given.append(
+                                formula))
+        rng = random.Random(19)
+        n = 6
+        kept = random_clauses(rng, n)
+        session = ExternalSession("unused", CnfFormula(n, kept))
+        for _ in range(40):
+            if rng.random() < 0.5:
+                lits = [rng.choice((1, -1)) * rng.randint(1, n)
+                        for _ in range(rng.randint(1, 4))]
+                session.add_clause(lits)
+                kept.append(lits)
+            else:
+                units = [[rng.choice((1, -1)) * rng.randint(1, n)]
+                         for _ in range(rng.randint(0, 3))]
+                session.solve([lit for (lit,) in units])
+                want = CnfFormula(n, kept + units)
+                assert given[-1] == want
+                assert to_dimacs(given[-1]) == to_dimacs(want)
+        assert len(given) == session.stats["calls"] > 10
 
 
 class TestBudgetPool:
