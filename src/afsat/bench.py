@@ -3,7 +3,9 @@
 A *system* is an encoding plus a solver backend, written ``C2:builtin`` or
 ``C1:ext:/path/to/solver``. Every (instance, system) run happens in a fresh
 subprocess (the package's own CLI) under a wall-clock budget, with hard
-kill on overrun. The budget must be positive and finite. Runs go one at a
+kill on overrun. The budget must be positive and finite. A child that
+exits 0 after its budget (the clock starts before the child does) timed
+out at the budget, so no recorded run is solved past it. Runs go one at a
 time, so no run's time includes load from another. Each is appended to a
 CSV as soon as it finishes so an interrupted campaign resumes where it
 stopped; a CSV resumes only under the budget it was written with.
@@ -85,7 +87,8 @@ def _system_command(system_id, apx_path):
 
 def run_one(system_id, apx_path, budget_s):
     """Run one system on one instance in a fresh process; returns
-    (outcome, seconds, detail). On overrun the child's whole process group
+    (outcome, seconds, detail). A child that exits 0 after ``budget_s``
+    timed out at ``budget_s``. On overrun the child's whole process group
     (its solver included) is killed, and its private TMPDIR removed."""
     cmd = _system_command(system_id, apx_path)
     with tempfile.TemporaryDirectory(prefix="afsat-bench-") as tmp:
@@ -104,6 +107,8 @@ def run_one(system_id, apx_path, budget_s):
                 proc.communicate()
         dt = time.perf_counter() - t0
     if proc.returncode == 0:
+        if dt > budget_s:  # its timeout window opened after this clock
+            return OUTCOME_TIMEOUT, float(budget_s), ""
         return OUTCOME_SOLVED, dt, ""
     detail = (stderr or "").strip().splitlines()
     return OUTCOME_ERROR, dt, detail[-1] if detail else f"exit {proc.returncode}"
@@ -142,13 +147,12 @@ def run_bench(manifest, systems, budget_s, out_csv, repetitions=1,
     """Run every system on every manifest instance, one run at a time;
     returns all records.
 
-    ``manifest`` is a loaded suite manifest or a path to one. Existing rows
+    ``manifest`` is a suite directory or a manifest path. Existing rows
     in ``out_csv`` are kept and their runs skipped when ``resume`` is set;
     a CSV whose first line names another budget raises ValueError.
     ``progress`` (optional) is called with each new BenchRecord.
     """
-    if isinstance(manifest, (str, os.PathLike)):
-        manifest = load_manifest(manifest)
+    manifest = load_manifest(manifest)
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if not 0 < budget_s < math.inf:  # NaN fails this too
@@ -259,6 +263,25 @@ def _group_label(groups, instance_id):
     return groups.get(base, groups.get(instance_id, "other"))
 
 
+def _cases(records, groups, budget_s=None):
+    """One walk over the records: the systems in first-seen order, and for
+    each case in first-seen order its group label and its runs as
+    (system, solved, seconds). A solved run over ``budget_s`` is not
+    solved. Raises on an empty record list."""
+    if not records:
+        raise ValueError("no bench records to score")
+    systems = {}
+    by_case = {}
+    for r in records:
+        systems.setdefault(r.system_id)
+        solved = r.outcome == OUTCOME_SOLVED and (budget_s is None
+                                                  or r.seconds <= budget_s)
+        by_case.setdefault(r.instance_id, []).append((r.system_id, solved,
+                                                      r.seconds))
+    return list(systems), [(_group_label(groups, case_id), runs)
+                           for case_id, runs in by_case.items()]
+
+
 def ipc_score(records, budget_s=None, groups=None):
     """Competition speed scores per system, normalized to 0..100.
 
@@ -266,65 +289,38 @@ def ipc_score(records, budget_s=None, groups=None):
     "all"). A solved run over the budget counts as a failure. Cases no
     system solved are ignored. Raises on an empty record list.
     """
-    if not records:
-        raise ValueError("no bench records to score")
-    by_case = {}
-    systems = []
-    for r in records:
-        if r.system_id not in systems:
-            systems.append(r.system_id)
-        solved = r.outcome == OUTCOME_SOLVED and (budget_s is None
-                                                  or r.seconds <= budget_s)
-        by_case.setdefault(r.instance_id, []).append((r.system_id, solved,
-                                                      r.seconds))
+    systems, cases = _cases(records, groups, budget_s)
     raw = {}
-    valid_cases = {}
-    group_order = []
-    for case_id, runs in by_case.items():
+    valid_cases = {}  # label -> count, in first-seen order
+    for label, runs in cases:
         solved_times = [sec for (_, ok, sec) in runs if ok]
         if not solved_times:
             continue  # invalid case: nobody solved it
         best = min(solved_times)
-        label = _group_label(groups, case_id)
-        if label not in group_order:
-            group_order.append(label)
         valid_cases[label] = valid_cases.get(label, 0) + 1
         for system_id, ok, sec in runs:
             score = _case_score(sec, best) if ok else 0.0
             raw[(label, system_id)] = raw.get((label, system_id), 0.0) + score
-    cells = {}
-    for label in group_order:
-        for s in systems:
-            n = valid_cases[label]
-            cells[(label, s)] = 100.0 * raw.get((label, s), 0.0) / n
-    group_order.sort(key=str)
-    return ScoreTable("ipc", systems, group_order, cells, valid_cases)
+    cells = {(label, s): 100.0 * raw.get((label, s), 0.0) / n
+             for label, n in valid_cases.items() for s in systems}
+    return ScoreTable("ipc", systems, sorted(valid_cases, key=str), cells,
+                      valid_cases)
 
 
 def success_rate(records, groups=None):
     """Fraction of cases solved per system (percent), by group."""
-    if not records:
-        raise ValueError("no bench records to score")
-    systems = []
-    counts = {}
-    solved = {}
-    group_order = []
-    for r in records:
-        if r.system_id not in systems:
-            systems.append(r.system_id)
-        label = _group_label(groups, r.instance_id)
-        if label not in group_order:
-            group_order.append(label)
-        counts[(label, r.system_id)] = counts.get((label, r.system_id), 0) + 1
-        if r.outcome == OUTCOME_SOLVED:
-            solved[(label, r.system_id)] = solved.get((label, r.system_id), 0) + 1
-    cells = {}
-    cases = {}
-    for (label, s), n in counts.items():
-        cells[(label, s)] = 100.0 * solved.get((label, s), 0) / n
-        cases[label] = max(cases.get(label, 0), n)
-    group_order.sort(key=str)
-    return ScoreTable("success", systems, group_order, cells, cases)
+    systems, cases = _cases(records, groups)
+    tally = {}  # (label, system) -> (runs, solved runs)
+    for label, runs in cases:
+        for system_id, ok, _ in runs:
+            n, k = tally.get((label, system_id), (0, 0))
+            tally[(label, system_id)] = (n + 1, k + ok)
+    cells = {key: 100.0 * k / n for key, (n, k) in tally.items()}
+    per_group = {}  # label -> most runs of one system, in first-seen order
+    for (label, _), (n, _) in tally.items():
+        per_group[label] = max(per_group.get(label, 0), n)
+    return ScoreTable("success", systems, sorted(per_group, key=str), cells,
+                      per_group)
 
 
 def manifest_groups(manifest, by="k"):

@@ -53,7 +53,7 @@ def _read_text(path):
 
 
 def _write_text(text, path):
-    if not path:  # no --out
+    if not path or path == "-":  # no --out, or stdout named as a path
         sys.stdout.write(text)
         return
     with open(path, "w") as fh:
@@ -263,7 +263,7 @@ def cmd_generate(args):
         _write_text(serialize_apx(af), args.out)
         return EXIT_OK
 
-    if not args.out:
+    if not args.out or args.out == "-":
         raise ValueError("suite mode needs --out DIRECTORY (or pass --k "
                          "for a single instance)")
     scale = 1.0 if args.scale is None else args.scale
@@ -331,7 +331,7 @@ def cmd_bench(args):
         print(f"  {rec.instance_id} {rec.system_id} {rec.outcome} "
               f"{rec.seconds:.2f}s{detail}", file=sys.stderr)
 
-    records = run_bench(manifest, systems, args.budget, args.out,
+    records = run_bench(args.manifest, systems, args.budget, args.out,
                         repetitions=args.repetitions,
                         resume=not args.no_resume,
                         progress=progress if args.verbose else None)
@@ -406,7 +406,8 @@ def _add_encode_args(p):
                    help="encoding id (default C2)")
     p.add_argument("--without-nonempty", action="store_true",
                    help="omit the non-empty-extension clause")
-    p.add_argument("--out", default=None, help="write to a file, not stdout")
+    p.add_argument("--out", default=None,
+                   help="write to a file, not stdout ('-' is stdout)")
 
 
 def _add_enumerate_args(p):
@@ -438,7 +439,8 @@ def _add_query_args(p):
 
 def _add_generate_args(p):
     p.add_argument("--out", default=None,
-                   help="suite directory, or output file in single mode")
+                   help="suite directory, or output file in single mode "
+                        "('-' is stdout)")
     p.add_argument("--scale", type=float, default=None,
                    help="suite size factor (default 1.0 = 2816 instances)")
     p.add_argument("--seed", type=int, default=None,

@@ -153,13 +153,10 @@ def _preferred_of(sub, encoding, factory, stats):
             if model is None:
                 break
             candidate = model_in_args(layout, model)
-            # grow: require one more argument; when the candidate covers
-            # everything the clause is empty and correctly makes the
-            # session permanently unsatisfiable
+            # grow: require one more argument (never none: each argument
+            # of a component has an attacker in it, so no extension is all)
             session.add_clause([layout.in_var(a)
                                 for a in sorted(all_args - candidate)])
-            if candidate == all_args:
-                break
             assumptions = [layout.in_var(a) for a in sorted(candidate)]
         if candidate is None:
             break

@@ -146,12 +146,12 @@ class ExternalSession:
         timeout = None if budget is None else budget.remaining
         if timeout is not None and timeout <= 0:
             raise BudgetExhausted(f"budget of {budget.limit}s exhausted")
-        self.stats["calls"] += 1
         start = time.monotonic()
         n = self.num_vars
-        formula = CnfFormula._normalized(
+        formula = CnfFormula._normalized(  # a rejected call is not counted
             n, self._clauses + [normalize_clause((lit,), n)
                                 for lit in assumptions])
+        self.stats["calls"] += 1
         try:
             return solve_external(self._command, formula, timeout)
         finally:

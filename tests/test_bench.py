@@ -1,5 +1,6 @@
 """Benchmark harness: system specs, scoring arithmetic, the runner."""
 
+import itertools
 import math
 import os
 import re
@@ -208,6 +209,24 @@ class TestRunner:
         outcome, _, detail = run_one("C2:builtin", "/no/such/file.apx", 60)
         assert outcome == "error"
         assert detail
+
+    def test_run_one_solved_past_budget_is_timeout(self, tiny_suite,
+                                                   monkeypatch):
+        """A child that exits 0 after its budget timed out at the budget
+        (the harness's clock starts before the child's timeout window), so
+        no recorded run is solved past its budget; an error keeps its
+        outcome and detail."""
+        real = time.perf_counter
+        ticks = itertools.count()
+        monkeypatch.setattr(bench.time, "perf_counter",
+                            lambda: real() + 60 * next(ticks))
+        manifest = load_manifest(tiny_suite)
+        path = f"{tiny_suite}/{manifest['instances'][0]['path']}"
+        assert run_one("C2:builtin", path, budget_s=30) == ("timeout", 30.0, "")
+        outcome, seconds, detail = run_one("C2:builtin", "/no/such/file.apx",
+                                           budget_s=30)
+        assert outcome == "error" and seconds > 30
+        assert "/no/such/file.apx" in detail
 
     def test_run_one_timeout(self, tiny_suite, tmp_path, monkeypatch):
         # an executable fake solver that hangs, driving the child over budget

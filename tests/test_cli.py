@@ -199,6 +199,14 @@ class TestEncode:
         assert code == 0 and out == ""
         assert out_path.read_text() == stdout_text
 
+    def test_out_dash_is_stdout(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = af_file(tmp_path, MUTUAL_APX)
+        _, stdout_text, _ = run_cli(capsys, ["encode", path])
+        code, out, _ = run_cli(capsys, ["encode", path, "--out", "-"])
+        assert code == 0 and out == stdout_text
+        assert not os.path.exists("-")
+
     def test_stdin_has_no_source_comment(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(MUTUAL_APX))
         code, out, _ = run_cli(capsys, ["encode", "-", "--format", "apx"])
@@ -743,6 +751,31 @@ class TestGenerate:
             "--out", str(out_path)])
         assert code == 0 and out == ""
         assert out_path.read_text().count("att(") == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["--k", "3", "--method", "empty"],
+        ["--k", "4", "--method", "count", "--n-att", "3", "--seed", "2"],
+    ], ids=["empty", "count"])
+    def test_single_out_dash_is_stdout(self, capsys, tmp_path, monkeypatch,
+                                       argv):
+        monkeypatch.chdir(tmp_path)
+        _, stdout_text, _ = run_cli(capsys, ["generate"] + argv)
+        code, out, _ = run_cli(capsys, ["generate"] + argv + ["--out", "-"])
+        assert code == 0 and out == stdout_text
+        assert stdout_text.startswith("arg(a1).")
+        assert not os.path.exists("-")
+
+    def test_suite_out_dash_is_input_error(self, capsys, tmp_path,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["generate", "--scale", "0.001", "--no-count-classes",
+                "--no-extremes"]
+        without = run_cli(capsys, argv)
+        assert run_cli(capsys, argv + ["--out", "-"]) == without
+        code, out, err = without
+        assert code == 2 and out == ""
+        assert "suite mode needs --out DIRECTORY" in err
+        assert not os.path.exists("-")
 
     def test_full_method(self, capsys):
         code, out, _ = run_cli(

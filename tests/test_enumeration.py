@@ -211,6 +211,23 @@ class TestGroundedDecomposition:
                 seen += 1
         assert seen >= 30
 
+    def test_every_component_argument_has_an_attacker_in_it(self):
+        """An undecided argument has an undecided attacker, so no
+        conflict-free set holds a whole component and a growth clause is
+        never empty."""
+        rng = random.Random(808)
+        frameworks = ([HUB] + random_battery(31, 60, max_k=8)
+                      + [hubbed_union(rng) for _ in range(15)])
+        seen = 0
+        for af in frameworks:
+            g_in, g_out = grounded_labelling(af)
+            for component in _components(af, g_in | g_out,
+                                          range(1, af.k + 1)):
+                sub = _subframework(af, component)
+                assert all(sub.attackers(a) for a in range(1, sub.k + 1)), af
+                seen += 1
+        assert seen >= 40
+
     def test_hubbed_unions_match_oracle(self):
         rng = random.Random(808)
         for _ in range(15):

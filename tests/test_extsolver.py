@@ -16,7 +16,7 @@ from afsat.extsolver import (
     external_session_factory,
     solve_external,
 )
-from afsat.solver import BudgetExhausted, Solver
+from afsat.solver import Budget, BudgetExhausted, Solver
 
 from conftest import CYCLE3, MUTUAL, random_clauses, tt_models
 
@@ -222,6 +222,19 @@ class TestBudgetPool:
             second.solve()
         assert second.stats["calls"] == 0
         assert len(log.read_text()) == launched
+
+    def test_rejected_call_is_not_counted(self, monkeypatch):
+        """A bad assumption raises before the call is counted, no solver
+        starts and the pool spends nothing."""
+        started = []
+        monkeypatch.setattr(extsolver, "solve_external",
+                            lambda *args: started.append(args))
+        budget = Budget(10.0)
+        session = ExternalSession("unused", CnfFormula(3), budget)
+        with pytest.raises(ValueError, match="out of range: 4"):
+            session.solve([4])
+        assert session.stats["calls"] == 0 and budget.used == 0
+        assert started == []
 
     def test_timeout_is_what_is_left(self, tmp_path):
         cmd = fake_solver(tmp_path, "sleeper.py", "time.sleep(30)\n")
