@@ -8,7 +8,8 @@ exits 0 after its budget (the clock starts before the child does) timed
 out at the budget, so no recorded run is solved past it. Runs go one at a
 time, so no run's time includes load from another. Each is appended to a
 CSV as soon as it finishes so an interrupted campaign resumes where it
-stopped; a CSV resumes only under the budget it was written with.
+stopped; a CSV resumes only under the budget it was written with, and
+one holding a run solved past that budget is rejected.
 
 Scoring follows the planning-competition speed rule: a case is valid when
 at least one system solved it; with T* the fastest solving time on that
@@ -114,10 +115,26 @@ def run_one(system_id, apx_path, budget_s):
     return OUTCOME_ERROR, dt, detail[-1] if detail else f"exit {proc.returncode}"
 
 
+def _csv_budget(csv_path, first_line):
+    """The budget a results CSV's first line names, as run_bench writes it,
+    or None; ValueError naming the file when it is not a usable budget."""
+    text = first_line.partition("; budget_s=")[2].strip()
+    try:
+        budget = float(text) if text else None
+    except ValueError:
+        budget = math.nan
+    if budget is not None and not 0 < budget < math.inf:  # NaN fails too
+        raise ValueError(f"bad budget in {csv_path}, line 1: {text!r}")
+    return budget
+
+
 def read_records(csv_path):
     """Read bench records back from a results CSV (comment lines skipped).
-    A malformed row raises ValueError naming the file and the line."""
+    A malformed row, or a solved row past the budget the first line names,
+    raises ValueError naming the file and the line."""
     with open(csv_path, newline="") as fh:
+        budget = _csv_budget(csv_path, fh.readline())
+        fh.seek(0)
         lines = [(n, line) for n, line in enumerate(fh, 1)
                  if not line.startswith("#")]
     rows = csv.reader(line for _, line in lines)
@@ -130,7 +147,12 @@ def read_records(csv_path):
             continue
         try:
             instance_id, system_id, outcome, seconds = row
-            records.append(BenchRecord(instance_id, system_id, outcome, seconds))
+            rec = BenchRecord(instance_id, system_id, outcome, seconds)
+            if (rec.outcome == OUTCOME_SOLVED and budget is not None
+                    and rec.seconds > budget):
+                raise ValueError(f"solved in {seconds} s, past budget_s="
+                                 f"{budget}")
+            records.append(rec)
         except ValueError as exc:
             lineno = lines[rows.line_num - 1][0]
             raise ValueError(
@@ -165,10 +187,9 @@ def run_bench(manifest, systems, budget_s, out_csv, repetitions=1,
 
     new_file = not (resume and os.path.exists(out_csv))
     if not new_file:
-        # the first line, when this module wrote it, names the budget
         with open(out_csv) as fh:
-            old = fh.readline().partition("; budget_s=")[2].strip()
-        if old and float(old) != budget_s:
+            old = _csv_budget(out_csv, fh.readline())
+        if old is not None and old != budget_s:
             raise ValueError(f"{out_csv} holds runs under budget_s={old}; "
                              f"it cannot resume under budget_s={budget_s}")
     done = [] if new_file else read_records(out_csv)

@@ -57,21 +57,27 @@ class VarLayout:
         return i + 1, (IN, OUT, UNDEC)[r]
 
 
+def check_literal(lit, num_vars):
+    """``lit`` as an int literal over variables 1..num_vars, or ValueError:
+    the one literal rule of clauses and assumptions in both backends."""
+    try:
+        lit = operator.index(lit)
+    except TypeError:
+        raise ValueError(f"literal is not an integer: {lit!r}") from None
+    if lit == 0 or abs(lit) > num_vars:
+        raise ValueError(f"literal out of range: {lit}")
+    return lit
+
+
 def normalize_clause(lits, num_vars):
     """Distinct literals of a clause over variables 1..num_vars, as a tuple
     in first-seen order (sessions watch the first two); None for a
-    tautology. Every literal must be an integer inside the range
-    (ValueError)."""
+    tautology. Every literal must pass check_literal (ValueError)."""
     seen = set()
     clause = []
     tautology = False
     for lit in lits:
-        try:
-            lit = operator.index(lit)
-        except TypeError:
-            raise ValueError(f"literal is not an integer: {lit!r}") from None
-        if lit == 0 or abs(lit) > num_vars:
-            raise ValueError(f"literal out of range: {lit}")
+        lit = check_literal(lit, num_vars)
         if -lit in seen:
             tautology = True
         elif lit not in seen:

@@ -27,7 +27,8 @@ import subprocess
 import tempfile
 import time
 
-from .cnf import CnfFormula, normalize_clause, satisfies, to_dimacs
+from .cnf import (CnfFormula, check_literal, normalize_clause, satisfies,
+                  to_dimacs)
 from .solver import Budget, BudgetExhausted
 
 
@@ -149,7 +150,7 @@ class ExternalSession:
         start = time.monotonic()
         n = self.num_vars
         formula = CnfFormula._normalized(  # a rejected call is not counted
-            n, self._clauses + [normalize_clause((lit,), n)
+            n, self._clauses + [(check_literal(lit, n),)
                                 for lit in assumptions])
         self.stats["calls"] += 1
         try:

@@ -19,7 +19,7 @@ external backend (``extsolver``).
 import math
 from heapq import heapify, heappop, heappush
 
-from .cnf import normalize_clause
+from .cnf import check_literal, normalize_clause
 
 
 class BudgetExhausted(RuntimeError):
@@ -63,7 +63,6 @@ class Solver:
         # literal state indexed lit+n: True/False/None
         self._val = [None] * (2 * n + 1)
         self._watches = [[] for _ in range(2 * n + 1)]
-        self._clauses = []  # length >= 2 clauses: original, added, learned
         self._trail = []
         self._trail_lim = []
         self._qhead = 0
@@ -122,13 +121,14 @@ class Solver:
         limit = self._trail_lim[target]
         trail = self._trail
         val = self._val
-        for t in range(len(trail) - 1, limit - 1, -1):
-            lit = trail[t]
+        # _analyze reads only the current level's reasons, so stale ones stay;
+        # deleting a clause must check that its variable is assigned first,
+        # as MiniSat's locked does
+        for lit in trail[limit:]:
             v = lit if lit > 0 else -lit
             self._phase[v] = lit > 0
             val[lit + n] = None
             val[-lit + n] = None
-            self._reason[v] = None
             heappush(self._heap, (-self._activity[v], v))
         del trail[limit:]
         del self._trail_lim[target:]
@@ -168,7 +168,6 @@ class Solver:
 
     def _attach(self, clause):
         n = self._n
-        self._clauses.append(clause)
         self._watches[clause[0] + n].append(clause)
         self._watches[clause[1] + n].append(clause)
 
@@ -181,16 +180,15 @@ class Solver:
         watches = self._watches
         trail = self._trail
         props = 0
-        while self._qhead < len(trail):
+        confl = None
+        while confl is None and self._qhead < len(trail):
             lit = trail[self._qhead]
             self._qhead += 1
             props += 1
             fl = -lit  # the literal that just became false
             wl = watches[fl + n]
-            i = 0
-            j = 0
+            i = j = 0
             end = len(wl)
-            confl = None
             while i < end:
                 clause = wl[i]
                 i += 1
@@ -203,34 +201,23 @@ class Solver:
                     wl[j] = clause
                     j += 1
                     continue
-                swapped = False
                 for t in range(2, len(clause)):
                     lt = clause[t]
                     if val[lt + n] is not False:
                         clause[1] = lt
                         clause[t] = fl
                         watches[lt + n].append(clause)
-                        swapped = True
                         break
-                if swapped:
-                    continue
-                wl[j] = clause
-                j += 1
-                if fv is False:
-                    # conflict; keep the unvisited tail of the watch list
-                    while i < end:
-                        wl[j] = wl[i]
-                        j += 1
-                        i += 1
-                    confl = clause
-                    break
-                self._assign(first, clause)
-            del wl[j:]
-            if confl is not None:
-                self.stats["propagations"] += props
-                return confl
+                else:
+                    wl[j] = clause
+                    j += 1
+                    if fv is False:
+                        confl = clause
+                        break
+                    self._assign(first, clause)
+            del wl[j:i]  # on a conflict the unvisited tail wl[i:] stays
         self.stats["propagations"] += props
-        return None
+        return confl
 
     def _bump(self, v):
         act = self._activity[v] + self._var_inc
@@ -318,16 +305,17 @@ class Solver:
         call returns. Returns a list indexed by variable (entry 0 unused,
         True/False per variable) or None when unsatisfiable under the
         assumptions. Only unsatisfiability without assumptions is
-        permanent. A literal that add_clause would reject raises
-        ValueError. Raises BudgetExhausted when the shared conflict budget
-        runs out; the outcome is then unknown and the session stays usable.
-        A call that propagation alone refutes, before any decision, spends
-        no budget.
+        permanent. A literal that check_literal rejects raises ValueError.
+        Raises BudgetExhausted when the shared conflict budget runs out;
+        the outcome is then unknown and the session stays usable. A call
+        that propagation alone refutes, before any decision, spends no
+        budget.
         """
         if self._unsat:
             return None
         n = self._n
-        normalize_clause(assumptions, n)  # raises where add_clause would
+        for lit in assumptions:
+            check_literal(lit, n)
         self._backtrack(0)
         if self._propagate() is not None:
             # refuted by propagation alone: no search, so no budget spent
@@ -353,12 +341,9 @@ class Solver:
                     return None
                 learnt, bt = self._analyze(confl)
                 self._backtrack(bt)
-                if len(learnt) == 1:
-                    # its variable was assigned above level 0, so is free now
-                    self._assign(learnt[0], None)
-                else:
+                if len(learnt) > 1:
                     self._attach(learnt)
-                    self._assign(learnt[0], learnt)
+                self._assign(learnt[0], learnt)  # a level-0 reason is unread
                 self._var_inc /= self.VAR_DECAY
                 since_restart += 1
             else:

@@ -415,6 +415,29 @@ class TestRunner:
                                  r"line 5: "):
             read_records(str(p))
 
+    def test_read_records_checks_the_budget_line(self, tmp_path):
+        """A solved row past the budget the first line names is rejected,
+        one at the budget is kept, and a CSV without a budget line is read
+        as it is."""
+        p = tmp_path / "results.csv"
+        rows = ",".join(CSV_HEADER) + "\n" + (
+            "probT-000,C2:builtin,solved,1.200000\n"
+            "probT-000,C3:builtin,timeout,1.200000\n"
+            "probT-001,C2:builtin,solved,1.300000\n")
+        p.write_text("# afsat 0.1.0 bench; budget_s=1.2\n" + rows)
+        with pytest.raises(ValueError,
+                           match=rf"^bad row in {re.escape(str(p))}, line 5: "
+                                 r"solved in 1\.300000 s, past budget_s=1\.2$"):
+            read_records(str(p))
+        p.write_text(rows)
+        assert [r.seconds for r in read_records(str(p))] == [1.2, 1.2, 1.3]
+        for budget in ("abc", "0", "-1", "nan", "inf"):
+            p.write_text(f"# afsat 0.1.0 bench; budget_s={budget}\n" + rows)
+            with pytest.raises(ValueError,
+                               match=rf"^bad budget in {re.escape(str(p))}, "
+                                     rf"line 1: '{budget}'$"):
+                read_records(str(p))
+
     def test_read_records_rejects_other_csv(self, tmp_path):
         p = tmp_path / "other.csv"
         p.write_text("a,b\n1,2\n")

@@ -965,6 +965,29 @@ class TestBenchCommand:
         assert err == (f"afsat: error: bad row in {out_csv}, line 3: "
                        "bad run time: 'nan'\n")
 
+    @pytest.mark.parametrize("budget_line, row, message", [
+        ("budget_s=1.2", "probT-000,C2:builtin,solved,1.300000",
+         "bad row in {csv}, line 3: solved in 1.300000 s, past budget_s=1.2"),
+        ("budget_s=abc", "probT-000,C2:builtin,solved,0.500000",
+         "bad budget in {csv}, line 1: 'abc'"),
+    ], ids=["solved-past-budget", "bad-budget-line"])
+    def test_results_past_their_budget_are_input_error(
+            self, capsys, suite_dir, tmp_path, budget_line, row, message):
+        """A resumed CSV is checked against the budget its first line
+        names, so both tables score the same runs."""
+        out_csv = tmp_path / "r.csv"
+        out_csv.write_text(f"# afsat 0.1.0 bench; {budget_line}\n"
+                           "instance_id,system_id,outcome,seconds\n"
+                           f"{row}\n")
+        before = out_csv.read_text()
+        code, out, err = run_cli(capsys, [
+            "bench", "--manifest", suite_dir, "--systems", "C2:builtin",
+            "--budget", "1.2", "--out", str(out_csv)])
+        assert (code, out) == (2, "")
+        assert err == f"afsat: error: {message.format(csv=out_csv)}\n"
+        assert out_csv.read_text() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv"]
+
     def test_bad_system_spec_is_input_error(self, capsys, suite_dir, tmp_path):
         code, _, err = run_cli(capsys, [
             "bench", "--manifest", suite_dir, "--systems", "C2:magic",

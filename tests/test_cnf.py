@@ -117,6 +117,13 @@ class TestCnfFormula:
         assert hash(CnfFormula(2, [[1]])) == hash(CnfFormula(2, [[1]]))
 
 
+def stored_clauses(solver):
+    """The clauses a built-in session keeps, as its watch lists hold them:
+    each clause of two or more literals is watched twice."""
+    return list({id(c): tuple(c) for wl in solver._watches
+                 for c in wl}.values())
+
+
 class TestNormalizeClause:
     """One clause rule for formulas and both session backends."""
 
@@ -146,7 +153,7 @@ class TestNormalizeClause:
             return
         stored = [] if want is None else [want]
         assert list(CnfFormula(3, [lits]).clauses) == stored
-        assert [tuple(c) for c in solver._clauses] == stored
+        assert stored_clauses(solver) == stored
         assert external._clauses == stored
 
     @pytest.mark.parametrize("lits", [[1.7, 2], [2, 1.0], ["3"], [1.5], [None]],
@@ -161,7 +168,8 @@ class TestNormalizeClause:
             with pytest.raises(ValueError,
                                match=r"^literal is not an integer: "):
                 add(lits)
-        assert solver._clauses == [] and external._clauses == []
+        assert stored_clauses(solver) == [] and external._clauses == []
+        assert solver._trail == []  # no unit either
         assert solver.solve() is not None
 
     @pytest.mark.parametrize("assumptions", [[1.5], ["1"], [None], [0], [4]],

@@ -17,6 +17,7 @@ from afsat.enumeration import (
     skeptical_accept,
     skeptical_answer,
 )
+from afsat.generators import gen_count, gen_probability
 from afsat.oracle import oracle_complete, oracle_preferred
 from afsat.solver import Solver, builtin_session_factory
 
@@ -409,6 +410,60 @@ class TestDeterminism:
             assert first.extensions == second.extensions
             for key in ("sat_calls", "inner_iterations", "outer_iterations"):
                 assert first.stats[key] == second.stats[key]
+
+    # Search counts of the built-in solver, recorded from the solver as it
+    # stood when this test was written. Each row: sat_calls, then conflicts,
+    # propagations, decisions and restarts summed over every session of the
+    # run. A change that keeps the answers but changes the search (branching,
+    # decay, restarts, propagation order) fails here; such a change updates
+    # these values and says why.
+    SEARCH_COUNTS = [
+        ("p60 C2", "preferred", lambda: gen_probability(60, 0.25, 0), "C2",
+         (3, 88, 4857, 266, 0)),
+        ("p60 C3", "preferred", lambda: gen_probability(60, 0.25, 0), "C3",
+         (3, 216, 9202, 541, 1)),
+        ("self-hub pairs C2", "preferred", lambda: self_hub_pairs(6), "C2",
+         (134, 32, 4307, 436, 0)),
+        ("n30 C2", "complete", lambda: gen_count(30, None, 0), "C2",
+         (2, 26, 472, 218, 0)),
+        ("p100 C2", "preferred", lambda: gen_probability(100, 0.25, 3), "C2",
+         (1, 613, 43614, 1553, 3)),
+        ("p100 C3", "preferred", lambda: gen_probability(100, 0.25, 3), "C3",
+         (1, 1530, 79172, 4053, 5)),
+    ]
+
+    @pytest.mark.parametrize("semantics, framework, encoding, want",
+                             [row[1:] for row in SEARCH_COUNTS],
+                             ids=[row[0] for row in SEARCH_COUNTS])
+    def test_search_counts_are_pinned(self, semantics, framework, encoding,
+                                      want):
+        sessions = []
+        make = builtin_session_factory()
+
+        def counting(formula):
+            sessions.append(make(formula))
+            return sessions[-1]
+
+        run = {"preferred": enumerate_preferred,
+               "complete": enumerate_complete}[semantics]
+        result = run(framework(), encoding=EncodingId(encoding),
+                     session_factory=counting)
+        keys = ("conflicts", "propagations", "decisions", "restarts")
+        got = (result.stats["sat_calls"],) + tuple(
+            sum(s.stats[key] for s in sessions) for key in keys)
+        assert got == want, (
+            "the built-in solver's search changed (sat_calls, conflicts, "
+            f"propagations, decisions, restarts): {got} != {want}")
+
+
+def self_hub_pairs(m):
+    """m mutually attacking pairs, every member attacking one self-attacking
+    hub: one component with 2**m preferred extensions."""
+    names = ["h"] + [f"{x}{i}" for i in range(m) for x in "ab"]
+    attacks = [(1, 1)]
+    for a in range(2, 2 * m + 2, 2):
+        attacks += [(a, a + 1), (a + 1, a), (a, 1), (a + 1, 1)]
+    return ArgumentationFramework(names, attacks)
 
 
 # two disjoint 4-cycles: enumeration needs a few conflicts, so the
