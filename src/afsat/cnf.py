@@ -57,33 +57,36 @@ class VarLayout:
         return i + 1, (IN, OUT, UNDEC)[r]
 
 
-def check_literal(lit, num_vars):
-    """``lit`` as an int literal over variables 1..num_vars, or ValueError:
-    the one literal rule of clauses and assumptions in both backends."""
-    try:
-        lit = operator.index(lit)
-    except TypeError:
-        raise ValueError(f"literal is not an integer: {lit!r}") from None
-    if lit == 0 or abs(lit) > num_vars:
-        raise ValueError(f"literal out of range: {lit}")
-    return lit
+def check_literals(lits, num_vars):
+    """Check the literals of a clause or an assumption list by the one
+    literal rule of both backends: in order, each must be an integer and
+    in 1..num_vars in absolute value, or ValueError names it. Returns the
+    distinct literals as ints in first-seen order, and whether two of
+    them are complementary."""
+    seen = set()
+    distinct = []
+    complementary = False
+    for lit in lits:
+        try:
+            lit = operator.index(lit)
+        except TypeError:
+            raise ValueError(f"literal is not an integer: {lit!r}") from None
+        if lit == 0 or abs(lit) > num_vars:
+            raise ValueError(f"literal out of range: {lit}")
+        if -lit in seen:
+            complementary = True
+        elif lit not in seen:
+            seen.add(lit)
+            distinct.append(lit)
+    return distinct, complementary
 
 
 def normalize_clause(lits, num_vars):
     """Distinct literals of a clause over variables 1..num_vars, as a tuple
     in first-seen order (sessions watch the first two); None for a
-    tautology. Every literal must pass check_literal (ValueError)."""
-    seen = set()
-    clause = []
-    tautology = False
-    for lit in lits:
-        lit = check_literal(lit, num_vars)
-        if -lit in seen:
-            tautology = True
-        elif lit not in seen:
-            seen.add(lit)
-            clause.append(lit)
-    return None if tautology else tuple(clause)
+    tautology. The literals must pass check_literals (ValueError)."""
+    distinct, tautology = check_literals(lits, num_vars)
+    return None if tautology else tuple(distinct)
 
 
 class CnfFormula:

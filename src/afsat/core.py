@@ -87,12 +87,14 @@ class ArgumentationFramework:
 
     def _build(self, names, index, pairs):
         self.arguments = names
-        self.attacks = frozenset(pairs)
+        self.attacks = attacks = frozenset(pairs)
         self._index = index
         k = len(names)
         attackers = [[] for _ in range(k + 1)]
         attackees = [[] for _ in range(k + 1)]
-        for i, j in sorted(self.attacks):
+        # pairs often come in order already, which sorted() finds in one
+        # pass; the set's hash order would cost a full sort
+        for i, j in sorted(pairs if len(pairs) == len(attacks) else attacks):
             attackers[j].append(i)
             attackees[i].append(j)
         self._attackers = tuple(map(tuple, attackers))

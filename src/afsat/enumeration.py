@@ -87,20 +87,18 @@ def _sorted_extensions(af, extensions):
 def grounded_labelling(af):
     """The in- and out-sets of the grounded labelling, as two frozensets;
     every other argument is undec. Linear in the attacks."""
-    live = [0] + [len(af.attackers(a)) for a in range(1, af.k + 1)]
-    todo = [a for a in range(1, af.k + 1) if not live[a]]
-    g_in, g_out = set(), set()
-    while todo:
-        a = todo.pop()
-        g_in.add(a)
-        for b in af.attackees(a):
-            if b in g_out:
-                continue
-            g_out.add(b)
-            for c in af.attackees(b):
-                live[c] -= 1  # one attacker fewer that is not yet out
-                if not live[c]:
-                    todo.append(c)
+    attackees = af._attackees  # read directly: no method call per visit
+    live = list(map(len, af._attackers))  # entry 0 is the empty tuple's
+    g_in = [a for a in range(1, len(live)) if not live[a]]
+    g_out = set()
+    for a in g_in:  # grows while it is walked; each argument joins once
+        for b in attackees[a]:
+            if b not in g_out:
+                g_out.add(b)
+                for c in attackees[b]:
+                    live[c] -= 1  # one attacker fewer that is not yet out
+                    if not live[c]:
+                        g_in.append(c)
     return frozenset(g_in), frozenset(g_out)
 
 

@@ -22,12 +22,13 @@ built-in solver's share one of conflicts: each call may run for what is
 left of it and then spends the wall time it took.
 """
 
+import operator
 import os
 import subprocess
 import tempfile
 import time
 
-from .cnf import (CnfFormula, check_literal, normalize_clause, satisfies,
+from .cnf import (CnfFormula, check_literals, normalize_clause, satisfies,
                   to_dimacs)
 from .solver import Budget, BudgetExhausted
 
@@ -136,9 +137,10 @@ class ExternalSession:
             self._clauses.append(clause)
 
     def solve(self, assumptions=()):
-        """Model of the accumulated clauses plus the assumptions as units,
-        or None. The assumptions belong to this call only; a literal that
-        add_clause would reject raises ValueError. Raises BudgetExhausted,
+        """Model of the accumulated clauses plus the assumptions (a
+        sequence, as for Solver.solve) as units, or None. The assumptions
+        belong to this call only; a literal that add_clause would reject
+        raises ValueError. Raises BudgetExhausted,
         without starting the solver, once the shared budget has no seconds
         left."""
         if self._unsat:
@@ -149,9 +151,9 @@ class ExternalSession:
             raise BudgetExhausted(f"budget of {budget.limit}s exhausted")
         start = time.monotonic()
         n = self.num_vars
-        formula = CnfFormula._normalized(  # a rejected call is not counted
-            n, self._clauses + [(check_literal(lit, n),)
-                                for lit in assumptions])
+        check_literals(assumptions, n)  # a rejected call is not counted
+        formula = CnfFormula._normalized(
+            n, self._clauses + [(operator.index(lit),) for lit in assumptions])
         self.stats["calls"] += 1
         try:
             return solve_external(self._command, formula, timeout)

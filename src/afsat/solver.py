@@ -19,7 +19,7 @@ external backend (``extsolver``).
 import math
 from heapq import heapify, heappop, heappush
 
-from .cnf import check_literal, normalize_clause
+from .cnf import check_literals, normalize_clause
 
 
 class BudgetExhausted(RuntimeError):
@@ -305,7 +305,7 @@ class Solver:
         call returns. Returns a list indexed by variable (entry 0 unused,
         True/False per variable) or None when unsatisfiable under the
         assumptions. Only unsatisfiability without assumptions is
-        permanent. A literal that check_literal rejects raises ValueError.
+        permanent. A literal that check_literals rejects raises ValueError.
         Raises BudgetExhausted when the shared conflict budget runs out;
         the outcome is then unknown and the session stays usable. A call
         that propagation alone refutes, before any decision, spends no
@@ -314,8 +314,7 @@ class Solver:
         if self._unsat:
             return None
         n = self._n
-        for lit in assumptions:
-            check_literal(lit, n)
+        check_literals(assumptions, n)
         self._backtrack(0)
         if self._propagate() is not None:
             # refuted by propagation alone: no search, so no budget spent

@@ -148,6 +148,18 @@ class TestParse:
         assert code == 0
         assert json.loads(out)["arguments"] == ["a", "b"]
 
+    # the sniffer reads a statement as the APX reader does, whitespace and
+    # all removed, so spaced APX is not taken for edge-list text
+    def test_spaced_apx_sniffed(self, capsys, tmp_path):
+        path = af_file(tmp_path, "arg (a).\natt (a,a).\n", name="s.apx")
+        code, out, _ = run_cli(capsys, ["parse", path])
+        assert code == 0
+        assert json.loads(out) == {"arguments": ["a"],
+                                   "attacks": [["a", "a"]]}
+        code, out, _ = run_cli(capsys, ["enumerate", path])
+        assert code == 0
+        assert json.loads(out)["extensions"] == [[]]
+
     def test_cross_format_conversion(self, capsys, tmp_path):
         path = af_file(tmp_path, MUTUAL_TGF, name="af.tgf")
         code, out, _ = run_cli(capsys, ["parse", path, "--to", "apx"])

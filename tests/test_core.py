@@ -19,7 +19,8 @@ from afsat.core import (
     labelling_from_extension,
 )
 
-from conftest import CHAIN3, CYCLE3, FULL3, MUTUAL, NO_ATTACKS3, SELF1, all_subsets
+from conftest import (CHAIN3, CYCLE3, FULL3, MUTUAL, NO_ATTACKS3, SELF1,
+                      all_subsets, assert_same_as_checked)
 
 
 def idx(af, names):
@@ -81,6 +82,20 @@ class TestConstruction:
         assert twin == CHAIN3
         assert hash(twin) == hash(CHAIN3)
         assert twin != MUTUAL
+
+    # pairs given out of order, or repeated, still give ascending adjacency
+    @pytest.mark.parametrize("pairs", [
+        [(3, 3), (3, 1), (2, 3), (2, 1), (1, 2)],
+        [(2, 1), (1, 2), (2, 1), (3, 1), (1, 2), (3, 3), (3, 1)],
+    ], ids=["descending", "repeats"])
+    def test_checked_pairs_in_any_order(self, pairs):
+        names = ("a", "b", "c")
+        af = ArgumentationFramework._checked(
+            names, {"a": 1, "b": 2, "c": 3}, pairs)
+        assert_same_as_checked(af)
+        assert af.attacks == frozenset(pairs)
+        assert af.attackers(1) == (2, 3)
+        assert af.attackees(3) == (1, 3)
 
     def test_attacks_deduplicated(self):
         af = ArgumentationFramework(["a", "b"], [(1, 2), (1, 2)])

@@ -1,7 +1,12 @@
 """Parsers and serializers for the two framework text formats."""
 
+import random
+import re
+import sys
+
 import pytest
 
+from afsat.core import ArgumentationFramework
 from afsat.fileformats import (
     ParseError,
     parse,
@@ -12,6 +17,7 @@ from afsat.fileformats import (
     serialize_tgf,
     sniff_format,
 )
+from afsat.fileformats import _NO_WHITESPACE
 
 from conftest import MUTUAL, assert_same_as_checked
 
@@ -113,6 +119,122 @@ class TestApx:
             parse_apx("arg(a).\natt(b,a).\n")
 
 
+# A line-by-line APX reader that shares no code with the package's: each
+# line loses its comment and its whitespace, then must match one statement
+# whole. Returns (framework, None) or (None, (error text, line number)).
+REF_STATEMENT = re.compile(r"arg\(([A-Za-z0-9_]+)\)\."
+                           r"|att\(([A-Za-z0-9_]+),([A-Za-z0-9_]+)\)\.")
+
+
+def reference_apx(text):
+    names = []
+    attack_lines = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        stmt = "".join(raw.split("%", 1)[0].split())
+        if not stmt:
+            continue
+        m = REF_STATEMENT.fullmatch(stmt)
+        if m is None:
+            return None, (f"line {lineno}: unrecognized statement: "
+                          f"{raw.strip()!r}", lineno)
+        name, a, b = m.groups()
+        if name is None:
+            attack_lines.append((lineno, a, b))
+        elif name in names:
+            return None, (f"line {lineno}: duplicate argument declaration: "
+                          f"{name}", lineno)
+        else:
+            names.append(name)
+    if not names:
+        return None, ("no arguments declared", None)
+    attacks = []
+    for lineno, a, b in attack_lines:
+        for end in (a, b):
+            if end not in names:
+                return None, (f"line {lineno}: attack references undeclared "
+                              f"argument: {end}", lineno)
+        attacks.append((names.index(a) + 1, names.index(b) + 1))
+    return ArgumentationFramework(names, attacks), None
+
+
+SOUP_SPACES = [" ", "\t", "\xa0", "\u3000", "\x1f", "\u2009"]
+SOUP_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x85", "\u2028"]
+SOUP_BAD = ["arg(a)", "argh.", "att(a).", "arg(a-b).", "att(a,b,c).",
+            "arg().", "ARG(a).", "arg(a)).", "x"]
+
+
+def soup(rng, faults):
+    """A random APX text: statements over a small name pool, comments and
+    blank lines, with whitespace sprinkled in; with ``faults``, perhaps
+    also repeated names, unknown endpoints and bad statements."""
+    pool = ["a", "b", "c1", "_x", "9", "Zz"]
+    declared = rng.sample(pool, rng.randint(1, 4))
+    lines = [f"arg({n})." for n in declared]
+    for _ in range(rng.randint(0, 6)):
+        ends = pool if faults and rng.random() < 0.2 else declared
+        lines.append(f"att({rng.choice(ends)},{rng.choice(ends)}).")
+    for _ in range(rng.randint(0, 3)):
+        lines.append(rng.choice(["", "%", "% note", "  % att(a,b).", "\t"]))
+    if faults and rng.random() < 0.3:
+        lines.append(f"arg({rng.choice(declared)}).")
+    if faults and rng.random() < 0.3:
+        lines.append(rng.choice(SOUP_BAD))
+    rng.shuffle(lines)
+    out = []
+    for line in lines:
+        chars = list(line)
+        for _ in range(rng.randint(0, 3)):
+            chars.insert(rng.randint(0, len(chars)), rng.choice(SOUP_SPACES))
+        if rng.random() < 0.3:
+            chars.append(rng.choice(["%", " % c ", "%arg(q)."]))
+        out.append("".join(chars) + rng.choice(SOUP_BREAKS))
+    return "".join(out)
+
+
+class TestApxAgainstReference:
+    """The bulk reader agrees with the line-by-line reference on random
+    texts: the same framework in every stored field, or the same error
+    text and line."""
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faulty"])
+    def test_random_soups(self, faults):
+        rng = random.Random(20261020 + faults)
+        outcomes = set()
+        for _ in range(1500):
+            text = soup(rng, faults)
+            want, error = reference_apx(text)
+            # every soup declares an argument, so "auto" sniffs apx
+            for read in (parse_apx, lambda t: parse(t, "auto")):
+                if error is None:
+                    af = read(text)
+                    assert_same_as_checked(af)
+                    assert (af.arguments, af.attacks) == \
+                        (want.arguments, want.attacks), text
+                else:
+                    with pytest.raises(ParseError) as err:
+                        read(text)
+                    assert (str(err.value), err.value.line) == error, text
+            outcomes.add(error[0].split(": ")[-2] if error else "ok")
+        # every kind of outcome was drawn
+        assert outcomes == ({"ok"} if not faults else {
+            "ok", "unrecognized statement", "duplicate argument declaration",
+            "attack references undeclared argument"})
+
+    def test_no_arguments(self):
+        for text in ["", "\n", "% only\r\n\t\n", "\xa0\u2028 %arg(a)."]:
+            assert reference_apx(text)[1] == ("no arguments declared", None)
+            with pytest.raises(ParseError) as err:
+                parse_apx(text)
+            assert (str(err.value), err.value.line) == \
+                ("no arguments declared", None)
+
+    def test_deletion_table_is_split_whitespace_but_newline(self):
+        spaces = {chr(c) for c in range(sys.maxunicode + 1)
+                  if chr(c).isspace()}
+        assert set(map(chr, _NO_WHITESPACE)) == spaces - {"\n"}
+        assert set(_NO_WHITESPACE.values()) == {None}
+
+
 class TestTgf:
     def test_parse_sample(self):
         af = parse_tgf(TGF_SAMPLE)
@@ -164,6 +286,15 @@ class TestDispatch:
         assert sniff_format(APX_SAMPLE) == "apx"
         assert sniff_format(TGF_SAMPLE) == "tgf"
         assert sniff_format("% comment\narg(a).\n") == "apx"
+
+    # a statement is judged as the APX reader sees it: comment cut and
+    # every whitespace character removed
+    @pytest.mark.parametrize("text", [
+        "arg (a).\natt (a,a).\n", " arg\t(a).\n", "att\xa0(a,a).\narg(a).\n",
+        "\n%x\n  \u3000arg (a). % c\n"])
+    def test_sniff_spaced_apx(self, text):
+        assert sniff_format(text) == "apx"
+        assert parse(text) == parse_apx(text)
 
     def test_auto_parse(self):
         assert parse(APX_SAMPLE) == MUTUAL
