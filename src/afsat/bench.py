@@ -3,13 +3,14 @@
 A *system* is an encoding plus a solver backend, written ``C2:builtin`` or
 ``C1:ext:/path/to/solver``. Every (instance, system) run happens in a fresh
 subprocess (the package's own CLI) under a wall-clock budget, with hard
-kill on overrun. The budget must be positive and finite. A child that
-exits 0 after its budget (the clock starts before the child does) timed
-out at the budget, so no recorded run is solved past it. Runs go one at a
-time, so no run's time includes load from another. Each is appended to a
-CSV as soon as it finishes so an interrupted campaign resumes where it
-stopped; a CSV resumes only under the budget it was written with, and
-one holding a run solved past that budget is rejected.
+kill on overrun. The budget must be positive and at most 2,147,483 s
+(``extsolver.MAX_BUDGET_S``, the longest wait subprocess allows). A
+child that exits 0 after its budget (the clock starts before the child
+does) timed out at the budget, so no recorded run is solved past it. Runs
+go one at a time, so no run's time includes load from another. Each is
+appended to a CSV as soon as it finishes so an interrupted campaign
+resumes where it stopped; a CSV resumes only under the budget it was
+written with, and one holding a run solved past that budget is rejected.
 
 Scoring follows the planning-competition speed rule: a case is valid when
 at least one system solved it; with T* the fastest solving time on that
@@ -30,6 +31,7 @@ import time
 
 from . import __version__
 from .cnf import encoding_from_string
+from .extsolver import check_budget_s
 from .generators import instance_path, load_manifest
 from .solver import parse_backend
 
@@ -177,8 +179,7 @@ def run_bench(manifest, systems, budget_s, out_csv, repetitions=1,
     manifest = load_manifest(manifest)
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    if not 0 < budget_s < math.inf:  # NaN fails this too
-        raise ValueError(f"budget must be positive and finite: {budget_s}")
+    check_budget_s(budget_s)
     systems = list(systems)
     for i, s in enumerate(systems):
         parse_system(s)  # validate early
@@ -279,9 +280,9 @@ class ScoreTable:
 def _group_label(groups, instance_id):
     if groups is None:
         return "all"
-    # repetition suffixes share their base instance's group
-    base = instance_id.split("@r", 1)[0]
-    return groups.get(base, groups.get(instance_id, "other"))
+    # repetition suffixes share their base instance's group; load_manifest
+    # keeps '@' out of instance ids
+    return groups.get(instance_id.partition("@")[0], "other")
 
 
 def _cases(records, groups, budget_s=None):

@@ -22,6 +22,7 @@ built-in solver's share one of conflicts: each call may run for what is
 left of it and then spends the wall time it took.
 """
 
+import math
 import operator
 import os
 import subprocess
@@ -33,8 +34,23 @@ from .cnf import (CnfFormula, check_literals, normalize_clause, satisfies,
 from .solver import Budget, BudgetExhausted
 
 
+# subprocess waits through poll(), whose timeout is a C int of milliseconds
+MAX_BUDGET_S = 2_147_483
+
+
 class SolverProtocolError(RuntimeError):
     """The external solver produced unusable output."""
+
+
+def check_budget_s(budget_s):
+    """``budget_s`` if subprocess can wait that many seconds: positive,
+    finite and at most MAX_BUDGET_S; ValueError otherwise."""
+    if not 0 < budget_s < math.inf:  # NaN fails too
+        raise ValueError(f"budget must be positive and finite: {budget_s}")
+    if budget_s > MAX_BUDGET_S:
+        raise ValueError(f"budget must be at most {MAX_BUDGET_S} s: "
+                         f"{budget_s}")
+    return budget_s
 
 
 def _command_list(command):
@@ -166,10 +182,11 @@ def external_session_factory(command, budget_s=None):
     """Session factory running every SAT call through an external solver.
 
     Every session produced by one factory, across all of its solve()
-    calls, draws on a single pool of ``budget_s`` seconds when one is set.
+    calls, draws on a single pool of ``budget_s`` seconds when one is set;
+    check_budget_s rules which are allowed.
     """
     command = _command_list(command)
-    budget = None if budget_s is None else Budget(budget_s)
+    budget = None if budget_s is None else Budget(check_budget_s(budget_s))
 
     def make(formula):
         return ExternalSession(command, formula, budget)

@@ -300,7 +300,8 @@ _ROW_KEYS = (("id", str), ("path", str), ("class_id", str), ("method", str),
 def load_manifest(path):
     """Read a suite manifest; accepts the directory or the file path.
     ValueError unless every instance row holds the keys bench reads, under
-    an id no other row has (bench scores and resumes by id)."""
+    an id no other row has (bench scores and resumes by id) and without
+    '@', which bench's repetition ids reserve."""
     if os.path.isdir(path):
         path = os.path.join(path, MANIFEST_NAME)
     with open(path) as fh:
@@ -325,6 +326,9 @@ def load_manifest(path):
         if row["id"] in ids:
             raise ValueError(f"not a suite manifest: {path}: instances"
                              f"[{i}] repeats id {row['id']!r}")
+        if "@" in row["id"]:  # bench marks repetitions with @r<n>
+            raise ValueError(f"not a suite manifest: {path}: instances"
+                             f"[{i}] has '@' in id {row['id']!r}")
         ids.add(row["id"])
     manifest["_dir"] = os.path.dirname(os.path.abspath(path))
     return manifest

@@ -59,7 +59,6 @@ class Solver:
             raise ValueError("negative variable count")
         n = num_vars
         self.num_vars = n
-        self._n = n
         # literal state indexed lit+n: True/False/None
         self._val = [None] * (2 * n + 1)
         self._watches = [[] for _ in range(2 * n + 1)]
@@ -70,7 +69,6 @@ class Solver:
         self._level = [0] * (n + 1)
         self._activity = [0.0] * (n + 1)
         self._phase = [False] * (n + 1)
-        self._seen = bytearray(n + 1)
         self._var_inc = 1.0
         self._unsat = False
         self._budget = budget
@@ -92,7 +90,7 @@ class Solver:
         s = cls(formula.num_vars, budget=budget)
         for clause in formula.clauses:
             if len(clause) == 1:
-                cur = s._val[clause[0] + s._n]
+                cur = s._val[clause[0] + s.num_vars]
                 if cur is None:
                     s._assign(clause[0], None)
                 elif cur is False:
@@ -106,7 +104,7 @@ class Solver:
     # assignment plumbing
 
     def _assign(self, lit, reason):
-        n = self._n
+        n = self.num_vars
         self._val[lit + n] = True
         self._val[-lit + n] = False
         v = lit if lit > 0 else -lit
@@ -117,7 +115,7 @@ class Solver:
     def _backtrack(self, target):
         if len(self._trail_lim) <= target:
             return
-        n = self._n
+        n = self.num_vars
         limit = self._trail_lim[target]
         trail = self._trail
         val = self._val
@@ -146,11 +144,11 @@ class Solver:
         clause, or a unit contradicting the fixed assignments, makes the
         session permanently unsatisfiable.
         """
-        clause = normalize_clause(lits, self._n)
+        clause = normalize_clause(lits, self.num_vars)
         if clause is None or self._unsat:
             return
         self._backtrack(0)
-        n = self._n
+        n = self.num_vars
         out = []
         for lit in clause:
             cur = self._val[lit + n]
@@ -167,7 +165,7 @@ class Solver:
         self._attach(out)
 
     def _attach(self, clause):
-        n = self._n
+        n = self.num_vars
         self._watches[clause[0] + n].append(clause)
         self._watches[clause[1] + n].append(clause)
 
@@ -175,7 +173,7 @@ class Solver:
     # search
 
     def _propagate(self):
-        n = self._n
+        n = self.num_vars
         val = self._val
         watches = self._watches
         trail = self._trail
@@ -220,27 +218,25 @@ class Solver:
         return confl
 
     def _bump(self, v):
+        # v is assigned: _backtrack pushes its entry once it is unassigned
         act = self._activity[v] + self._var_inc
         self._activity[v] = act
         if act > 1e100:
+            n = self.num_vars
             scale = 1e-100
-            for u in range(1, self._n + 1):
+            for u in range(1, n + 1):
                 self._activity[u] *= scale
             self._var_inc *= scale
-            self._heap = [(-self._activity[u], u)
-                          for u in range(1, self._n + 1)]
+            self._heap = [(-self._activity[u], u) for u in range(1, n + 1)]
             heapify(self._heap)
-        else:
-            heappush(self._heap, (-act, v))
 
     def _analyze(self, confl):
         level = self._level
         reason = self._reason
         trail = self._trail
-        seen = self._seen
+        seen = set()
         cur = len(self._trail_lim)
         learnt = [0]
-        to_clear = []
         counter = 0
         p = None
         idx = len(trail) - 1
@@ -250,9 +246,8 @@ class Solver:
             for t in range(0 if p is None else 1, len(c)):
                 q = c[t]
                 v = q if q > 0 else -q
-                if not seen[v] and level[v] > 0:
-                    seen[v] = 1
-                    to_clear.append(v)
+                if v not in seen and level[v] > 0:
+                    seen.add(v)
                     self._bump(v)
                     if level[v] >= cur:
                         counter += 1
@@ -262,7 +257,7 @@ class Solver:
                 p = trail[idx]
                 v = p if p > 0 else -p
                 idx -= 1
-                if seen[v]:
+                if v in seen:
                     break
             counter -= 1
             if counter == 0:
@@ -270,8 +265,6 @@ class Solver:
             # only the decision lacks a reason and it is consumed last
             c = reason[v]
         learnt[0] = -p
-        for v in to_clear:
-            seen[v] = 0
         if len(learnt) == 1:
             return learnt, 0
         mi = 1
@@ -282,19 +275,20 @@ class Solver:
         return learnt, level[abs(learnt[1])]
 
     def _decide(self):
-        n = self._n
+        # _analyze bumps only assigned variables (literals of the conflict
+        # and of its reasons), a rescale rebuilds the heap, and _backtrack
+        # pushes each variable it unassigns at its activity then: so the
+        # best entry of an unassigned variable holds its current activity
+        n = self.num_vars
         val = self._val
-        act = self._activity
         heap = self._heap
         while heap:
-            negact, v = heappop(heap)
-            if val[v + n] is None and -negact == act[v]:
+            v = heappop(heap)[1]
+            if val[v + n] is None:
                 self._trail_lim.append(len(self._trail))
                 self._assign(v if self._phase[v] else -v, None)
                 self.stats["decisions"] += 1
                 return
-        # every unassigned variable has an entry at its current activity:
-        # _bump and _backtrack push one, a rescale rebuilds them all
         raise AssertionError("decide called with a full assignment")
 
     def solve(self, assumptions=()):
@@ -313,7 +307,7 @@ class Solver:
         """
         if self._unsat:
             return None
-        n = self._n
+        n = self.num_vars
         check_literals(assumptions, n)
         self._backtrack(0)
         if self._propagate() is not None:

@@ -83,6 +83,8 @@ class TestCaseScore:
     def test_log_shape(self):
         assert _case_score(100.0, 1.0) == pytest.approx(1.0 / 3.0)
         assert _case_score(2.0, 1.0) == pytest.approx(1.0 / (1.0 + math.log10(2.0)))
+        # T* = 0 makes log10(T/T*) infinite: the score's limit is 0
+        assert _case_score(2.0, 0.0) == 0.0
 
 
 class TestIpcScore:
@@ -299,6 +301,10 @@ class TestRunner:
             with pytest.raises(ValueError, match="budget must be positive"):
                 run_bench(tiny_suite, ["C2:builtin"], budget_s=budget,
                           out_csv=str(tmp_path / "z.csv"))
+        # subprocess cannot wait longer
+        with pytest.raises(ValueError, match="budget must be at most 2147483"):
+            run_bench(tiny_suite, ["C2:builtin"], budget_s=2_147_484,
+                      out_csv=str(tmp_path / "z.csv"))
         # a repeated system would score twice on every case
         with pytest.raises(ValueError, match="system listed twice: C2:builtin"):
             run_bench(tiny_suite, ["C2:builtin", "C3:builtin", "C2:builtin"],

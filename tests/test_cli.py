@@ -442,12 +442,14 @@ class TestEnumerate:
 
     def test_external_solver(self, capsys, tmp_path):
         path = af_file(tmp_path, MUTUAL_APX)
-        code, out, _ = run_cli(
-            capsys, ["enumerate", path, "--solver", refdpll_solver(tmp_path)])
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["complete"] is True
-        assert payload["extensions"] == [["a"], ["b"]]
+        # 2147483 s is the longest wait subprocess allows (MAX_BUDGET_S)
+        for flags in ([], ["--solver-budget", "2147483"]):
+            code, out, _ = run_cli(capsys, ["enumerate", path, "--solver",
+                                            refdpll_solver(tmp_path)] + flags)
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["complete"] is True
+            assert payload["extensions"] == [["a"], ["b"]]
 
     def test_solver_budget(self, capsys, tmp_path):
         sleeper = tmp_path / "sleeper"
@@ -582,6 +584,10 @@ class TestBudgetFlags:
         pytest.param(["--solver", "REFDPLL", "--solver-budget", "nan"],
                      "budget must be positive and finite: nan",
                      id="solver-nan"),
+        # subprocess cannot wait longer
+        pytest.param(["--solver", "REFDPLL", "--solver-budget", "2147484"],
+                     "budget must be at most 2147483 s: 2147484.0",
+                     id="solver-too-long"),
     ])
     def test_rejected(self, capsys, tmp_path, command, flags, message):
         path = af_file(tmp_path, rings_apx("abcd", "efgh"))
@@ -737,12 +743,16 @@ class TestJsonOutput:
 def test_interrupt_exits_130_without_traceback(capsys, tmp_path, monkeypatch):
     import afsat.cli
 
-    def interrupted(path):
-        raise KeyboardInterrupt
+    # a closed output pipe (afsat ... | head) is a normal end, exit 0
+    for exc, want in ((KeyboardInterrupt, (130, "", "afsat: interrupted\n")),
+                      (BrokenPipeError, (0, "", ""))):
+        def interrupted(path):
+            raise exc
 
-    monkeypatch.setattr(afsat.cli, "_read_text", interrupted)
-    code, out, err = run_cli(capsys, ["parse", af_file(tmp_path, MUTUAL_APX)])
-    assert (code, out, err) == (130, "", "afsat: interrupted\n")
+        monkeypatch.setattr(afsat.cli, "_read_text", interrupted)
+        code, out, err = run_cli(capsys,
+                                 ["parse", af_file(tmp_path, MUTUAL_APX)])
+        assert (code, out, err) == want
 
 
 class TestGenerate:
@@ -894,12 +904,16 @@ class TestClassify:
                 assert row["witness"] is None
 
     def test_text_rendering(self, capsys):
-        code, out, _ = run_cli(capsys, ["classify", "--text", "--no-witnesses"])
-        assert code == 0
-        lines = out.splitlines()
-        assert len(lines) == 65
-        assert lines[-1] == ("counts: 46 weak, 5 correct_non_redundant, "
-                             "13 redundant")
+        for flags, witnessed in ((["--no-witnesses"], 0), ([], 46)):
+            code, out, _ = run_cli(capsys, ["classify", "--text"] + flags)
+            assert code == 0
+            lines = out.splitlines()
+            assert len(lines) == 65
+            assert lines[-1] == ("counts: 46 weak, 5 correct_non_redundant, "
+                                 "13 redundant")
+            # a weak row ends in its witness: [framework | labelling]
+            assert sum(line.endswith("]") for line in lines) == witnessed
+        assert lines[2].endswith(" weak  [arg(a). att(a,a). | a:in]")
 
 
 @pytest.fixture(scope="module")
@@ -1012,9 +1026,10 @@ class TestBenchCommand:
         ("C2:builtin", "0", "budget must be positive and finite: 0.0"),
         ("C2:builtin", "nan", "budget must be positive and finite: nan"),
         ("C2:builtin", "inf", "budget must be positive and finite: inf"),
+        ("C2:builtin", "1e300", "budget must be at most 2147483 s: 1e+300"),
         ("C2:builtin,C2:builtin", "60", "system listed twice: C2:builtin"),
     ], ids=["negative-budget", "zero-budget", "nan-budget", "inf-budget",
-            "repeated-system"])
+            "too-long-budget", "repeated-system"])
     def test_bad_budget_or_repeated_system_is_input_error(
             self, capsys, suite_dir, tmp_path, systems, budget, message):
         out_csv = tmp_path / "r.csv"
@@ -1080,7 +1095,12 @@ class TestBenchCommand:
         ({"format": "afsat-suite-1", "instances": [{"id": "x"}]},
          "instances[0] has no 'path' of type str"),
         ({"format": "afsat-suite-1"}, "'instances' must be a list"),
-    ], ids=["row", "no-instances"])
+        # a@r2 would be the id of a's second repetition
+        ({"format": "afsat-suite-1", "instances": [
+            {"id": i, "path": f"{i}.apx", "class_id": "c", "method": "full",
+             "k": 2} for i in ("a", "a@r2")]},
+         "instances[1] has '@' in id 'a@r2'"),
+    ], ids=["row", "no-instances", "repetition-id"])
     def test_unusable_instance_rows_are_input_error(self, tmp_path, manifest,
                                                     message):
         bogus = tmp_path / "manifest.json"
@@ -1093,7 +1113,7 @@ class TestBenchCommand:
         assert proc.returncode == 2
         assert proc.stderr == (f"afsat: error: not a suite manifest: {bogus}: "
                                f"{message}\n")
-        assert not (tmp_path / "r.csv").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
 class TestSat:

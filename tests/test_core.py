@@ -70,8 +70,9 @@ class TestConstruction:
             ArgumentationFramework(["a"], [(0, 1)])
 
     def test_from_names_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            ArgumentationFramework.from_names(["a"], [("a", "z")])
+        for pair in (("a", "z"), ("z", "a")):
+            with pytest.raises(ValueError, match="unknown argument: 'z'"):
+                ArgumentationFramework.from_names(["a"], [pair])
 
     def test_unknown_index_lookup(self):
         with pytest.raises(KeyError):

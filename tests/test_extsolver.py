@@ -51,6 +51,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="budget must be positive"):
             external_session_factory(REF, budget_s=budget_s)
 
+    def test_budget_must_fit_a_subprocess_wait(self):
+        # subprocess waits through poll(), whose timeout is a C int of ms
+        with pytest.raises(ValueError, match=r"^budget must be at most "
+                                             r"2147483 s: 2147483\.5$"):
+            external_session_factory(REF, budget_s=2_147_483.5)
+        session = external_session_factory(REF, budget_s=2_147_483)(
+            CnfFormula(1, [[1]]))
+        assert session.solve() == [False, True]
+
 
 class TestReferenceSolverAgreement:
     def test_random_formulas(self):

@@ -286,6 +286,7 @@ class TestDispatch:
         assert sniff_format(APX_SAMPLE) == "apx"
         assert sniff_format(TGF_SAMPLE) == "tgf"
         assert sniff_format("% comment\narg(a).\n") == "apx"
+        assert sniff_format("a\nb\n") == "tgf"  # no line decides
 
     # a statement is judged as the APX reader sees it: comment cut and
     # every whitespace character removed

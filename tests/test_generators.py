@@ -240,7 +240,10 @@ class TestBuildSuite:
                   for k in ("2", 2.0, True)],
                 # bench scores and resumes by id
                 ([row, dict(row, path="y.apx", k=3)],
-                 r"instances\[1\] repeats id 'x'")):
+                 r"instances\[1\] repeats id 'x'"),
+                # bench's repetition ids x@r2, x@r3, ... must not collide
+                ([row, dict(row, id="x@r2", path="y.apx")],
+                 r"instances\[1\] has '@' in id 'x@r2'")):
             manifest = {"format": MANIFEST_FORMAT}
             if instances is not None:
                 manifest["instances"] = instances

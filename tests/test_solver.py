@@ -178,6 +178,42 @@ class TestAgainstTruthTable:
                     assert (-s._activity[v], v) in entries, v
         assert rescaled >= 50
 
+    def test_heap_ranks_unassigned_variables_at_their_activity(self):
+        """After every solve call, the best-ranked heap entry of each
+        unassigned variable is (-activity, v): the property that lets
+        _decide take the first unassigned variable it pops. Every other
+        session starts at the rescale limit, so conflicts rescale
+        activities mid-search; calls under assumptions and blocking
+        clauses vary which variables each call assigns."""
+        rng = random.Random(2300)
+        checked = rescaled = 0
+        for i in range(120):
+            num_vars = rng.randint(6, 12)
+            s = Solver(num_vars)
+            for _ in range(round(4.3 * num_vars)):
+                s.add_clause([v if rng.random() < 0.5 else -v
+                              for v in rng.sample(range(1, num_vars + 1), 3)])
+            if i % 2:
+                s._var_inc = 1e100
+            for _ in range(4):
+                model = s.solve([v if rng.random() < 0.5 else -v for v in
+                                 rng.sample(range(1, num_vars + 1),
+                                            rng.randint(0, 3))])
+                best = {}
+                for entry in s._heap:
+                    if entry < best.get(entry[1], (math.inf,)):
+                        best[entry[1]] = entry
+                for v in range(1, num_vars + 1):
+                    if s._val[v + num_vars] is None:
+                        assert best.get(v) == (-s._activity[v], v), v
+                        checked += 1
+                if model is not None:
+                    s.add_clause([-v if model[v] else v
+                                  for v in range(1, num_vars + 1)])
+            rescaled += i % 2 and s._var_inc < 1e100
+        assert rescaled >= 50
+        assert checked >= 3000
+
 
 class TestDeterminism:
     def test_same_run_twice(self):
