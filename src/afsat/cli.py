@@ -91,6 +91,11 @@ def _session_factory(args):
     return external_session_factory([backend[1]], budget_s=args.solver_budget)
 
 
+class _QuotedLists(list):
+    """Lists of strings each already quoted by ``_json_str``, which
+    ``_json_text`` joins as they stand."""
+
+
 def _json_text(value, newline="\n"):
     """``json.dumps(value, indent=2, sort_keys=True)`` for str-keyed dicts,
     lists, tuples and scalars, in one recursive pass: with an indent the
@@ -101,11 +106,17 @@ def _json_text(value, newline="\n"):
         if not value:
             return "[]"
         inner = newline + "  "
-        try:  # a list of strings, the bulk of a large result, in one call
-            body = ("," + inner).join(map(_json_str, value))
-        except TypeError:
-            body = ("," + inner).join([_json_text(item, inner)
-                                       for item in value])
+        if type(value) is _QuotedLists:  # the bulk of a large result
+            deeper = inner + "  "
+            body = ("," + inner).join([
+                "[" + deeper + ("," + deeper).join(names) + inner + "]"
+                if names else "[]" for names in value])
+        else:
+            try:  # a list of strings in one call
+                body = ("," + inner).join(map(_json_str, value))
+            except TypeError:
+                body = ("," + inner).join([_json_text(item, inner)
+                                           for item in value])
         return "[" + inner + body + newline + "]"
     if isinstance(value, dict):
         if not value:
@@ -178,9 +189,11 @@ def cmd_enumerate(args):
         },
     }
     if not args.stats_only:
-        names = (None,) + af.arguments  # by 1-based index
-        payload["extensions"] = [sorted(map(names.__getitem__, s))
-                                 for s in result.extensions]
+        # each name quoted once, by 1-based index; a quoted name sorts as
+        # the name does, since '"' sorts below every name character
+        quoted = (None,) + tuple(map(_json_str, af.arguments))
+        payload["extensions"] = _QuotedLists(
+            [sorted(map(quoted.__getitem__, s)) for s in result.extensions])
     if args.timing:
         payload["stats"]["wall_time_s"] = round(result.stats["wall_time_s"], 6)
 

@@ -349,12 +349,6 @@ def satisfies(formula, model):
     return True
 
 
-def model_in_args(layout, model):
-    """In-labelled argument indices of a model (model[var] is the value)."""
-    return frozenset(i for i in range(1, layout.k + 1)
-                     if model[layout.in_var(i)])
-
-
 def model_to_labelling(layout, model):
     """Labelling encoded by a model; rejects models breaking label exclusivity."""
     labels = []

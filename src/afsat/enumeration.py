@@ -44,7 +44,7 @@ components.
 import time
 from itertools import islice, product
 
-from .cnf import EncodingId, VarLayout, encode, model_in_args
+from .cnf import EncodingId, VarLayout, encode
 from .core import ArgumentationFramework
 from .solver import BudgetExhausted, Solver
 
@@ -70,18 +70,6 @@ class EnumerationResult:
     def __repr__(self):
         return (f"EnumerationResult({self.semantics!r}, {self.encoding.value},"
                 f" {len(self.extensions)} extensions, complete={self.complete})")
-
-
-def _sorted_extensions(af, extensions):
-    if len(extensions) < 2:
-        return extensions  # nothing to order: skip ranking k names
-    # names are distinct, so two sets of indices compare as their sorted
-    # name lists do when each index stands for its name's rank
-    rank = [0] * (af.k + 1)
-    for r, i in enumerate(sorted(range(1, af.k + 1), key=af.name)):
-        rank[i] = r
-    return sorted(extensions,
-                  key=lambda s: (-len(s), sorted(map(rank.__getitem__, s))))
 
 
 def grounded_labelling(af):
@@ -134,40 +122,38 @@ def _subframework(af, component):
 
 
 def _preferred_of(sub, encoding, factory, stats):
-    """Preferred extensions of one component as each is proven; the empty
-    set once the search finishes without any."""
-    layout = VarLayout(sub.k)
-    all_args = frozenset(range(1, sub.k + 1))
+    """Preferred extensions of one component as each is proven, each as
+    an ascending list of its argument indices; the empty one once the
+    search finishes without any."""
+    in_vars = range(1, 3 * sub.k + 1, 3)  # VarLayout.in_var of 1..k
     session = factory(encode(sub, encoding, nonempty=True))
     found = False
     while True:
         stats["outer_iterations"] += 1
         assumptions = ()
-        candidate = None
+        members = None
         while True:
             stats["inner_iterations"] += 1
             stats["sat_calls"] += 1
             model = session.solve(assumptions)
             if model is None:
                 break
-            candidate = model_in_args(layout, model)
             # grow: require one more argument (never none: each argument
             # of a component has an attacker in it, so no extension is all)
-            session.add_clause([layout.in_var(a)
-                                for a in sorted(all_args - candidate)])
-            assumptions = [layout.in_var(a) for a in sorted(candidate)]
-        if candidate is None:
+            session.add_clause([v for v in in_vars if not model[v]])
+            assumptions = members = [v for v in in_vars if model[v]]
+        if members is None:
             break
         found = True
-        yield candidate
+        yield [v // 3 + 1 for v in members]
     if not found:
-        yield frozenset()
+        yield []
 
 
 def _complete_of(sub, encoding, factory, stats):
-    """Complete extensions of one component, each blocked once proven."""
-    layout = VarLayout(sub.k)
-    all_args = frozenset(range(1, sub.k + 1))
+    """Complete extensions of one component, each blocked once proven, as
+    ascending lists of argument indices."""
+    in_vars = range(1, 3 * sub.k + 1, 3)  # VarLayout.in_var of 1..k
     session = factory(encode(sub, encoding, nonempty=False))
     while True:
         stats["inner_iterations"] += 1
@@ -175,15 +161,23 @@ def _complete_of(sub, encoding, factory, stats):
         model = session.solve()
         if model is None:
             return
-        s = model_in_args(layout, model)
-        yield s
-        session.add_clause([-layout.in_var(a) for a in sorted(s)]
-                           + [layout.in_var(a) for a in sorted(all_args - s)])
+        members = [v for v in in_vars if model[v]]
+        yield [v // 3 + 1 for v in members]
+        session.add_clause([-v for v in members]
+                           + [v for v in in_vars if not model[v]])
 
 
 def _run(af, semantics, encoding, session_factory, extensions_of):
     """The grounded in-set joined with every combination of one extension
-    per component, as ``extensions_of`` proves them."""
+    per component, as ``extensions_of`` proves them, in the documented
+    order.
+
+    Each component extension gets one integer key: its size, shifted
+    above one bit per undecided argument, where the first undecided name
+    in name order holds the highest bit. Components are disjoint and the
+    grounded in-set is in every extension, so the sum of a combination's
+    keys orders the joined extensions as (size descending, sorted member
+    names) does, once the sums are sorted descending."""
     factory = session_factory or Solver.from_formula
     t0 = time.perf_counter()
     g_in, g_out = grounded_labelling(af)
@@ -191,22 +185,34 @@ def _run(af, semantics, encoding, session_factory, extensions_of):
     components = _components(af, g_in | g_out, range(1, af.k + 1))
     runs = [extensions_of(_subframework(af, c), encoding, factory, stats)
             for c in components]
+    undecided = sorted([a for c in components for a in c], key=af.name)
+    bit = [0] * (af.k + 1)
+    for r, a in enumerate(reversed(undecided)):
+        bit[a] = 1 << r
+    width = len(undecided)
     proven = [[] for _ in components]
+    keys = [[] for _ in components]
     complete = True
     try:
         # one extension from each component first (each has at least one),
         # then each to its end, so that a partial run reports a product
         # as soon as it can
         for take in (1, None):
-            for component, run, found in zip(components, runs, proven):
+            for component, run, found, found_keys in zip(
+                    components, runs, proven, keys):
                 for s in islice(run, take):
-                    found.append(frozenset(component[i - 1] for i in s))
+                    part = [component[i - 1] for i in s]
+                    found.append(frozenset(part))
+                    found_keys.append((len(part) << width)
+                                      + sum(map(bit.__getitem__, part)))
     except BudgetExhausted:
         complete = False
-    extensions = [g_in.union(*parts) for parts in product(*proven)]
+    # keys are distinct, as the extensions are
+    by_key = dict(zip(map(sum, product(*keys)), product(*proven)))
+    extensions = [g_in.union(*by_key[key])
+                  for key in sorted(by_key, reverse=True)]
     stats["wall_time_s"] = time.perf_counter() - t0
-    return EnumerationResult(semantics, encoding,
-                             _sorted_extensions(af, extensions), stats,
+    return EnumerationResult(semantics, encoding, extensions, stats,
                              complete)
 
 

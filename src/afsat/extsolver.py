@@ -167,7 +167,8 @@ class ExternalSession:
             raise BudgetExhausted(f"budget of {budget.limit}s exhausted")
         start = time.monotonic()
         n = self.num_vars
-        check_literals(assumptions, n)  # a rejected call is not counted
+        if assumptions:
+            check_literals(assumptions, n)  # a rejected call is not counted
         formula = CnfFormula._normalized(
             n, self._clauses + [(operator.index(lit),) for lit in assumptions])
         self.stats["calls"] += 1

@@ -308,7 +308,8 @@ class Solver:
         if self._unsat:
             return None
         n = self.num_vars
-        check_literals(assumptions, n)
+        if assumptions:  # most calls have none: skip the check's bookkeeping
+            check_literals(assumptions, n)
         self._backtrack(0)
         if self._propagate() is not None:
             # refuted by propagation alone: no search, so no budget spent

@@ -713,8 +713,21 @@ class TestJsonOutput:
                        "att(x1,x1).\natt(x1,x2).\natt(x2,x4).\natt(x3,x1).\n"
                        "att(x3,x2).\natt(x3,x3).\n", name="hard.apx")
         parts = af_file(tmp_path, TWO_PARTS_APX, name="parts.apx")
+        # four components named apart by case, digit, underscore and
+        # prefix, with and without unattacked arguments: without them the
+        # empty set is complete
+        union = ("arg(a).\narg(B).\narg(a_).\narg(a0).\narg(aa).\narg(A1).\n"
+                 "arg(_x).\narg(a1).\narg(b0).\narg(b_).\natt(a,B).\n"
+                 "att(B,a).\natt(a_,a0).\natt(a0,aa).\natt(aa,a_).\n"
+                 "att(A1,_x).\natt(_x,A1).\natt(_x,a1).\natt(b0,b_).\n"
+                 "att(b_,b0).\n")
+        unions = [af_file(tmp_path, union, name="union.apx"),
+                  af_file(tmp_path, union + "arg(b).\narg(Z).\narg(B_).\n"
+                          "att(Z,B_).\n", name="unattacked.apx")]
         runs = [["classify"], ["classify", "--no-witnesses"]]
         for semantics in ("preferred", "complete"):
+            runs += [["enumerate", path, "--semantics", semantics]
+                     for path in unions]
             runs += [
                 ["enumerate", mutual, "--semantics", semantics, "--timing",
                  "--query-credulous", "a", "--query-skeptical", "a"],
@@ -729,15 +742,23 @@ class TestJsonOutput:
             runs += [["parse", path],
                      ["query", path, "--mode", "credulous", "--argument", name]]
         answers = set()
+        printed = []
         for argv in runs:
             _, out, _ = run_cli(capsys, argv)
             payload = json.loads(out)
             assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            extensions = payload.get("extensions", [])
+            # names sorted in each, lists by size descending, then names
+            assert all(names == sorted(names) for names in extensions)
+            assert extensions == sorted(extensions,
+                                        key=lambda names: (-len(names), names))
+            printed += extensions
             for group in payload.get("queries", {}).values():
                 answers.update(group.values())
             if argv == ["classify"]:  # its witness strings hold line breaks
                 assert "\\n" in out
         assert answers == {True, False, None}
+        assert [] in printed and ["A1", "B", "a1", "b0"] in printed
 
 
 def test_interrupt_exits_130_without_traceback(capsys, tmp_path, monkeypatch):

@@ -12,7 +12,6 @@ from afsat.cnf import (
     VarLayout,
     encode,
     encoding_from_string,
-    model_in_args,
     model_to_labelling,
     normalize_clause,
     parse_dimacs,
@@ -350,7 +349,6 @@ class TestModelDecoding:
         model = [None, True, False, False, False, True, False, True, False, False]
         lab = model_to_labelling(v, model)
         assert lab.labels == (IN, OUT, IN)
-        assert model_in_args(v, model) == {1, 3}
 
     def test_rejects_broken_exclusivity(self):
         v = VarLayout(1)

@@ -35,6 +35,12 @@ from conftest import (
 )
 
 
+# names that order by case, digit, underscore and prefix
+UNION_NAMES = ["B", "a", "a_", "a0", "aa", "A1", "_x", "b", "_", "a_0", "a1",
+               "Z", "x9", "A", "ab", "b_", "_a", "Aa", "b0", "B_", "x", "X",
+               "a00", "Ab"]
+
+
 def names(af, extensions):
     return [sorted(af.name(i) for i in s) for s in extensions]
 
@@ -77,15 +83,31 @@ class TestFrozenCases:
 
     def test_ordering_follows_names_not_indices(self):
         rng = random.Random(4)
+        renamed = []
         for af in random_battery(5, 30, max_k=7):
             # names whose order differs from the declaration order
-            renamed = ArgumentationFramework(
-                rng.sample([f"n{i}" for i in range(20)], af.k), af.attacks)
-            for result in (enumerate_preferred(renamed),
-                           enumerate_complete(renamed)):
+            renamed.append(ArgumentationFramework(
+                rng.sample([f"n{i}" for i in range(20)], af.k), af.attacks))
+        for _ in range(30):
+            # disjoint unions of 3-5 components plus unattacked arguments,
+            # named apart by case, digit, underscore and prefix
+            attacks = set()
+            k = 0
+            for _ in range(rng.randint(3, 5)):
+                size = rng.randint(2, 4)
+                # a mutual attack, so most components have two extensions
+                attacks |= {(k + 1, k + 2), (k + 2, k + 1)}
+                attacks |= {(k + i, k + j) for i in range(1, size + 1)
+                            for j in range(1, size + 1) if rng.random() < 0.2}
+                k += size
+            k += rng.randint(1, 2)
+            renamed.append(ArgumentationFramework(
+                rng.sample(UNION_NAMES, k), sorted(attacks)))
+        for af in renamed:
+            for result in (enumerate_preferred(af), enumerate_complete(af)):
                 assert list(result.extensions) == sorted(
                     result.extensions,
-                    key=lambda s: (-len(s), sorted(renamed.name(i) for i in s)))
+                    key=lambda s: (-len(s), sorted(af.name(i) for i in s)))
 
 
 class TestOracleEquivalence:
