@@ -170,6 +170,9 @@ def cmd_enumerate(args):
 
     af = _read_af(args)
     encoding = _encoding(args)
+    # an unknown query name is an input error before any solving
+    credulous_at = {name: af.index(name) for name in args.credulous}
+    skeptical_at = {name: af.index(name) for name in args.skeptical}
     run = (enumerate_preferred if args.semantics == "preferred"
            else enumerate_complete)
     # one factory, so one budget pool, for the run and all its queries
@@ -198,19 +201,18 @@ def cmd_enumerate(args):
         payload["stats"]["wall_time_s"] = round(result.stats["wall_time_s"], 6)
 
     queries = {}
-    if args.credulous:
+    if credulous_at:
         credulous = queries["credulous"] = {}
-        for name in args.credulous:
-            a = af.index(name)
+        for name, a in credulous_at.items():
             # a SAT call only where the run's extensions cannot tell
             credulous[name] = credulous_answer(result, a)
             if credulous[name] is None:
                 credulous[name] = credulous_accept(af, a, encoding, factory)
             if credulous[name] is None:
                 exit_code = EXIT_BUDGET
-    if args.skeptical:
-        queries["skeptical"] = {name: skeptical_answer(result, af.index(name))
-                                for name in args.skeptical}
+    if skeptical_at:
+        queries["skeptical"] = {name: skeptical_answer(result, a)
+                                for name, a in skeptical_at.items()}
     if queries:
         payload["queries"] = queries
 

@@ -2,8 +2,9 @@
 
 A deterministic conflict-driven clause-learning solver: two-watched-literal
 propagation, first-UIP conflict analysis, exponentially decayed variable
-activities with saved phases, and geometric restarts. Ties in branching
-always break toward the lowest variable index, so runs are reproducible.
+activities with saved phases, and geometric restarts. Each decision scans
+the activities for the unassigned variable with the highest one; ties break
+toward the lowest variable index, so runs are reproducible.
 
 Sessions are incremental in one direction only: clauses can be added
 between ``solve()`` calls, never removed. Restricted subproblems are solved
@@ -17,7 +18,8 @@ external backend (``extsolver``).
 """
 
 import math
-from heapq import heapify, heappop, heappush
+from itertools import compress, repeat
+from operator import is_
 
 from .cnf import check_literals, normalize_clause
 
@@ -74,8 +76,6 @@ class Solver:
         self._budget = budget
         self.stats = {"decisions": 0, "propagations": 0, "conflicts": 0,
                       "restarts": 0}
-        # all activities start equal, so the heap is sorted by index
-        self._heap = [(0.0, v) for v in range(1, n + 1)]
 
     @classmethod
     def from_formula(cls, formula, budget=None):
@@ -127,7 +127,6 @@ class Solver:
             self._phase[v] = lit > 0
             val[lit + n] = None
             val[-lit + n] = None
-            heappush(self._heap, (-self._activity[v], v))
         del trail[limit:]
         del self._trail_lim[target:]
         self._qhead = limit
@@ -218,17 +217,11 @@ class Solver:
         return confl
 
     def _bump(self, v):
-        # v is assigned: _backtrack pushes its entry once it is unassigned
         act = self._activity[v] + self._var_inc
         self._activity[v] = act
         if act > 1e100:
-            n = self.num_vars
-            scale = 1e-100
-            for u in range(1, n + 1):
-                self._activity[u] *= scale
-            self._var_inc *= scale
-            self._heap = [(-self._activity[u], u) for u in range(1, n + 1)]
-            heapify(self._heap)
+            self._activity = [a * 1e-100 for a in self._activity]
+            self._var_inc *= 1e-100
 
     def _analyze(self, confl):
         level = self._level
@@ -275,21 +268,14 @@ class Solver:
         return learnt, level[abs(learnt[1])]
 
     def _decide(self):
-        # _analyze bumps only assigned variables (literals of the conflict
-        # and of its reasons), a rescale rebuilds the heap, and _backtrack
-        # pushes each variable it unassigns at its activity then: so the
-        # best entry of an unassigned variable holds its current activity
+        # max returns the first maximum, so ties go to the lowest index
         n = self.num_vars
-        val = self._val
-        heap = self._heap
-        while heap:
-            v = heappop(heap)[1]
-            if val[v + n] is None:
-                self._trail_lim.append(len(self._trail))
-                self._assign(v if self._phase[v] else -v, None)
-                self.stats["decisions"] += 1
-                return
-        raise AssertionError("decide called with a full assignment")
+        v = max(compress(range(1, n + 1), map(is_, self._val[n + 1:],
+                                              repeat(None))),
+                key=self._activity.__getitem__)
+        self._trail_lim.append(len(self._trail))
+        self._assign(v if self._phase[v] else -v, None)
+        self.stats["decisions"] += 1
 
     def solve(self, assumptions=()):
         """Search for a model of everything added so far, under assumptions.

@@ -294,12 +294,22 @@ class TestEnumerate:
         assert queries["credulous"] == {"a": True, "b": False}
         assert queries["skeptical"] == {"c": True}
 
-    def test_unknown_query_name_is_input_error(self, capsys, tmp_path):
+    def test_unknown_query_name_is_input_error(self, capsys, tmp_path,
+                                               monkeypatch):
+        """Every query name is resolved before the run: an unknown one
+        exits 2 without enumerating."""
+        def enumerate_preferred(*args, **kwargs):
+            raise AssertionError("enumerated before the query names were read")
+
+        monkeypatch.setattr("afsat.enumeration.enumerate_preferred",
+                            enumerate_preferred)
         path = af_file(tmp_path, CHAIN_APX)
-        code, _, err = run_cli(
-            capsys, ["enumerate", path, "--query-credulous", "zzz"])
-        assert code == 2
-        assert "zzz" in err
+        for flag in ["--query-credulous", "--query-skeptical"]:
+            code, out, err = run_cli(
+                capsys, ["enumerate", path, flag, "a", flag, "zzz"])
+            assert code == 2
+            assert out == ""
+            assert err == "afsat: error: no argument named 'zzz'\n"
 
     def test_encoding_flag_respected(self, capsys, tmp_path):
         path = af_file(tmp_path, MUTUAL_APX)

@@ -2,11 +2,13 @@
 
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
-from afsat.cnf import CnfFormula
+from afsat.cnf import CnfFormula, EncodingId, encode
+from afsat.generators import gen_probability
 from afsat.solver import Budget, BudgetExhausted, Solver, builtin_session_factory
 
 from conftest import random_clauses, tt_models
@@ -154,9 +156,8 @@ class TestAgainstTruthTable:
 
     def test_activity_rescale(self):
         """With the activity increment near its 1e100 limit, conflicts
-        rescale every activity mid-search. Verdicts and models stay right,
-        and every unassigned variable keeps a heap entry at its activity,
-        which is what decisions rely on."""
+        rescale every activity mid-search. Verdicts and models stay
+        right."""
         rng = random.Random(1100)
         rescaled = 0
         for _ in range(100):
@@ -172,19 +173,15 @@ class TestAgainstTruthTable:
             s._var_inc = 1e100
             check(s, num_vars, clauses)
             rescaled += s._var_inc < 1e100
-            entries = set(s._heap)
-            for v in range(1, num_vars + 1):
-                if s._val[v + num_vars] is None:
-                    assert (-s._activity[v], v) in entries, v
         assert rescaled >= 50
 
-    def test_heap_ranks_unassigned_variables_at_their_activity(self):
-        """After every solve call, the best-ranked heap entry of each
-        unassigned variable is (-activity, v): the property that lets
-        _decide take the first unassigned variable it pops. Every other
-        session starts at the rescale limit, so conflicts rescale
-        activities mid-search; calls under assumptions and blocking
-        clauses vary which variables each call assigns."""
+    def test_decision_takes_the_most_active_unassigned_variable(self):
+        """After every solve call, the next decision assigns the unassigned
+        variable with the highest activity, the lowest index on ties, in
+        its saved phase. Every other session starts at the rescale limit,
+        so conflicts rescale activities mid-search; calls under
+        assumptions and blocking clauses vary which variables each call
+        assigns."""
         rng = random.Random(2300)
         checked = rescaled = 0
         for i in range(120):
@@ -199,20 +196,22 @@ class TestAgainstTruthTable:
                 model = s.solve([v if rng.random() < 0.5 else -v for v in
                                  rng.sample(range(1, num_vars + 1),
                                             rng.randint(0, 3))])
-                best = {}
-                for entry in s._heap:
-                    if entry < best.get(entry[1], (math.inf,)):
-                        best[entry[1]] = entry
-                for v in range(1, num_vars + 1):
-                    if s._val[v + num_vars] is None:
-                        assert best.get(v) == (-s._activity[v], v), v
-                        checked += 1
+                unassigned = [v for v in range(1, num_vars + 1)
+                              if s._val[v + num_vars] is None]
+                if unassigned:
+                    want = min(unassigned,
+                               key=lambda v: (-s._activity[v], v))
+                    s._decide()
+                    assert s._trail[-1] == (want if s._phase[want]
+                                            else -want)
+                    s._backtrack(0)
+                    checked += 1
                 if model is not None:
                     s.add_clause([-v if model[v] else v
                                   for v in range(1, num_vars + 1)])
             rescaled += i % 2 and s._var_inc < 1e100
         assert rescaled >= 50
-        assert checked >= 3000
+        assert checked >= 400
 
 
 class TestDeterminism:
@@ -235,6 +234,23 @@ class TestDeterminism:
         first = s.solve()
         second = s.solve()
         assert first == second
+
+
+def test_search_memory_stays_with_the_learned_clauses():
+    """One refutation of a k=80 framework (152 conflicts, 683 decisions)
+    allocates about 60 KB at its peak, mostly learned clauses. Branching
+    must keep no state that grows with every backtrack: entries queued
+    per unassigned variable would take this call past 1 MB."""
+    s = Solver.from_formula(encode(gen_probability(80, 0.25, 0),
+                                   EncodingId.C2))
+    tracemalloc.start()
+    try:
+        assert s.solve() is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (s.stats["conflicts"], s.stats["decisions"]) == (152, 683)
+    assert peak < 256 * 1024, peak
 
 
 class TestAssumptions:
