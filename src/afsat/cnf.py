@@ -324,6 +324,9 @@ def parse_dimacs(text):
             raise ValueError(f"line {lineno}: bad clause token in {raw!r}") from None
         for lit in lits:
             if lit:
+                if abs(lit) > num_vars:
+                    raise ValueError(
+                        f"line {lineno}: literal out of range: {lit}")
                 current.append(lit)
             elif current:
                 clauses.append(current)

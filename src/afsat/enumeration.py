@@ -121,10 +121,10 @@ def _subframework(af, component):
          for b in af.attackees(a) if b in local])
 
 
-def _preferred_of(sub, encoding, factory, stats):
+def _preferred_of(sub, component, encoding, factory, stats):
     """Preferred extensions of one component as each is proven, each as
-    an ascending list of its argument indices; the empty one once the
-    search finishes without any."""
+    an ascending list of framework indices; the empty one once the search
+    finishes without any. ``sub`` is the component's subframework."""
     in_vars = range(1, 3 * sub.k + 1, 3)  # VarLayout.in_var of 1..k
     session = factory(encode(sub, encoding, nonempty=True))
     found = False
@@ -145,14 +145,14 @@ def _preferred_of(sub, encoding, factory, stats):
         if members is None:
             break
         found = True
-        yield [v // 3 + 1 for v in members]
+        yield [component[v // 3] for v in members]
     if not found:
         yield []
 
 
-def _complete_of(sub, encoding, factory, stats):
+def _complete_of(sub, component, encoding, factory, stats):
     """Complete extensions of one component, each blocked once proven, as
-    ascending lists of argument indices."""
+    ascending lists of framework indices."""
     in_vars = range(1, 3 * sub.k + 1, 3)  # VarLayout.in_var of 1..k
     session = factory(encode(sub, encoding, nonempty=False))
     while True:
@@ -162,7 +162,7 @@ def _complete_of(sub, encoding, factory, stats):
         if model is None:
             return
         members = [v for v in in_vars if model[v]]
-        yield [v // 3 + 1 for v in members]
+        yield [component[v // 3] for v in members]
         session.add_clause([-v for v in members]
                            + [v for v in in_vars if not model[v]])
 
@@ -183,7 +183,7 @@ def _run(af, semantics, encoding, session_factory, extensions_of):
     g_in, g_out = grounded_labelling(af)
     stats = {"sat_calls": 0, "inner_iterations": 0, "outer_iterations": 0}
     components = _components(af, g_in | g_out, range(1, af.k + 1))
-    runs = [extensions_of(_subframework(af, c), encoding, factory, stats)
+    runs = [extensions_of(_subframework(af, c), c, encoding, factory, stats)
             for c in components]
     undecided = sorted([a for c in components for a in c], key=af.name)
     bit = [0] * (af.k + 1)
@@ -198,10 +198,8 @@ def _run(af, semantics, encoding, session_factory, extensions_of):
         # then each to its end, so that a partial run reports a product
         # as soon as it can
         for take in (1, None):
-            for component, run, found, found_keys in zip(
-                    components, runs, proven, keys):
-                for s in islice(run, take):
-                    part = [component[i - 1] for i in s]
+            for run, found, found_keys in zip(runs, proven, keys):
+                for part in islice(run, take):
                     found.append(frozenset(part))
                     found_keys.append((len(part) << width)
                                       + sum(map(bit.__getitem__, part)))

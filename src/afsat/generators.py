@@ -299,9 +299,10 @@ _ROW_KEYS = (("id", str), ("path", str), ("class_id", str), ("method", str),
 
 def load_manifest(path):
     """Read a suite manifest; accepts the directory or the file path.
-    ValueError unless every instance row holds the keys bench reads, under
-    an id no other row has (bench scores and resumes by id) and without
-    '@', which bench's repetition ids reserve."""
+    ValueError unless it lists at least one instance and every instance
+    row holds the keys bench reads, under an id no other row has (bench
+    scores and resumes by id) and without '@', which bench's repetition
+    ids reserve."""
     if os.path.isdir(path):
         path = os.path.join(path, MANIFEST_NAME)
     with open(path) as fh:
@@ -313,6 +314,8 @@ def load_manifest(path):
     if not isinstance(instances, list):
         raise ValueError(f"not a suite manifest: {path}: "
                          "'instances' must be a list")
+    if not instances:
+        raise ValueError(f"not a suite manifest: {path}: 'instances' is empty")
     ids = set()
     for i, row in enumerate(instances):
         if not isinstance(row, dict):

@@ -6,6 +6,10 @@ activities with saved phases, and geometric restarts. Each decision scans
 the activities for the unassigned variable with the highest one; ties break
 toward the lowest variable index, so runs are reproducible.
 
+Per-literal arrays are indexed by the literal itself, -v landing at slot
+2n+1-v by negative indexing; slot 0 belongs to no literal and holds False,
+so entries 0..n of a full assignment are the model ``solve()`` returns.
+
 Sessions are incremental in one direction only: clauses can be added
 between ``solve()`` calls, never removed. Restricted subproblems are solved
 under assumptions (MiniSat-style, Eén & Sörensson 2003): ``solve(lits)``
@@ -61,8 +65,9 @@ class Solver:
             raise ValueError("negative variable count")
         n = num_vars
         self.num_vars = n
-        # literal state indexed lit+n: True/False/None
-        self._val = [None] * (2 * n + 1)
+        # literal state True/False/None and watch lists, indexed by literal
+        # (-v at 2n+1-v); slot 0 holds False, entry 0 of every model
+        self._val = [False] + [None] * (2 * n)
         self._watches = [[] for _ in range(2 * n + 1)]
         self._trail = []
         self._trail_lim = []
@@ -90,7 +95,7 @@ class Solver:
         s = cls(formula.num_vars, budget=budget)
         for clause in formula.clauses:
             if len(clause) == 1:
-                cur = s._val[clause[0] + s.num_vars]
+                cur = s._val[clause[0]]
                 if cur is None:
                     s._assign(clause[0], None)
                 elif cur is False:
@@ -104,9 +109,8 @@ class Solver:
     # assignment plumbing
 
     def _assign(self, lit, reason):
-        n = self.num_vars
-        self._val[lit + n] = True
-        self._val[-lit + n] = False
+        self._val[lit] = True
+        self._val[-lit] = False
         v = lit if lit > 0 else -lit
         self._level[v] = len(self._trail_lim)
         self._reason[v] = reason
@@ -115,7 +119,6 @@ class Solver:
     def _backtrack(self, target):
         if len(self._trail_lim) <= target:
             return
-        n = self.num_vars
         limit = self._trail_lim[target]
         trail = self._trail
         val = self._val
@@ -125,8 +128,8 @@ class Solver:
         for lit in trail[limit:]:
             v = lit if lit > 0 else -lit
             self._phase[v] = lit > 0
-            val[lit + n] = None
-            val[-lit + n] = None
+            val[lit] = None
+            val[-lit] = None
         del trail[limit:]
         del self._trail_lim[target:]
         self._qhead = limit
@@ -147,10 +150,9 @@ class Solver:
         if clause is None or self._unsat:
             return
         self._backtrack(0)
-        n = self.num_vars
         out = []
         for lit in clause:
-            cur = self._val[lit + n]
+            cur = self._val[lit]
             if cur is True:
                 return
             if cur is None:
@@ -164,15 +166,13 @@ class Solver:
         self._attach(out)
 
     def _attach(self, clause):
-        n = self.num_vars
-        self._watches[clause[0] + n].append(clause)
-        self._watches[clause[1] + n].append(clause)
+        self._watches[clause[0]].append(clause)
+        self._watches[clause[1]].append(clause)
 
     # ------------------------------------------------------------------
     # search
 
     def _propagate(self):
-        n = self.num_vars
         val = self._val
         watches = self._watches
         trail = self._trail
@@ -183,7 +183,7 @@ class Solver:
             self._qhead += 1
             props += 1
             fl = -lit  # the literal that just became false
-            wl = watches[fl + n]
+            wl = watches[fl]
             i = j = 0
             end = len(wl)
             while i < end:
@@ -193,17 +193,17 @@ class Solver:
                     clause[0] = clause[1]
                     clause[1] = fl
                 first = clause[0]
-                fv = val[first + n]
+                fv = val[first]
                 if fv is True:
                     wl[j] = clause
                     j += 1
                     continue
                 for t in range(2, len(clause)):
                     lt = clause[t]
-                    if val[lt + n] is not False:
+                    if val[lt] is not False:
                         clause[1] = lt
                         clause[t] = fl
-                        watches[lt + n].append(clause)
+                        watches[lt].append(clause)
                         break
                 else:
                     wl[j] = clause
@@ -270,7 +270,7 @@ class Solver:
     def _decide(self):
         # max returns the first maximum, so ties go to the lowest index
         n = self.num_vars
-        v = max(compress(range(1, n + 1), map(is_, self._val[n + 1:],
+        v = max(compress(range(1, n + 1), map(is_, self._val[1:n + 1],
                                               repeat(None))),
                 key=self._activity.__getitem__)
         self._trail_lim.append(len(self._trail))
@@ -282,9 +282,9 @@ class Solver:
 
         ``assumptions`` are literals that must hold in the model; they are
         decided first, one decision level each, and are forgotten when the
-        call returns. Returns a list indexed by variable (entry 0 unused,
-        True/False per variable) or None when unsatisfiable under the
-        assumptions. Only unsatisfiability without assumptions is
+        call returns. Returns a new list indexed by variable (entry 0
+        False, True/False per variable) or None when unsatisfiable under
+        the assumptions. Only unsatisfiability without assumptions is
         permanent. A literal that check_literals rejects raises ValueError.
         Raises BudgetExhausted when the shared conflict budget runs out;
         the outcome is then unknown and the session stays usable. A call
@@ -335,7 +335,7 @@ class Solver:
                     continue
                 if len(trail_lim) < num_assumptions:
                     lit = assumptions[len(trail_lim)]
-                    cur = val[lit + n]
+                    cur = val[lit]
                     if cur is False:
                         # the clauses imply the negation of an assumption
                         self._backtrack(0)
@@ -347,10 +347,7 @@ class Solver:
                         self._assign(lit, None)
                     continue
                 if len(self._trail) == n:
-                    model = [False] * (n + 1)
-                    for lit in self._trail:
-                        if lit > 0:
-                            model[lit] = True
+                    model = val[:n + 1]
                     self._backtrack(0)
                     return model
                 self._decide()

@@ -1131,7 +1131,8 @@ class TestBenchCommand:
             {"id": i, "path": f"{i}.apx", "class_id": "c", "method": "full",
              "k": 2} for i in ("a", "a@r2")]},
          "instances[1] has '@' in id 'a@r2'"),
-    ], ids=["row", "no-instances", "repetition-id"])
+        ({"format": "afsat-suite-1", "instances": []}, "'instances' is empty"),
+    ], ids=["row", "no-instances", "repetition-id", "empty-instances"])
     def test_unusable_instance_rows_are_input_error(self, tmp_path, manifest,
                                                     message):
         bogus = tmp_path / "manifest.json"

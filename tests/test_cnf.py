@@ -414,7 +414,10 @@ class TestDimacs:
                 ("p cnf x 1\n1 0\n", "line 1: bad problem line"),
                 ("p cnf -2 0\n", "line 1: bad problem line"),
                 ("c x\np cnf 2 -1\n", "line 2: bad problem line"),
-                ("p cnf 1.5 1\n1 0\n", "line 1: bad problem line")):
+                ("p cnf 1.5 1\n1 0\n", "line 1: bad problem line"),
+                ("p cnf 2 2\n1 2 0\n1 3 0\n",
+                 "line 3: literal out of range: 3"),
+                ("p cnf 2 1\n1\n-3 0\n", "line 3: literal out of range: -3")):
             with pytest.raises(ValueError, match=message):
                 parse_dimacs(text)
 

@@ -181,7 +181,8 @@ class TestBuildSuite:
         assert loaded["base_seed"] == 7
         assert loaded["count_method_includes_self_attacks"] is True
         for row in loaded["instances"]:
-            af = parse_apx(open(instance_path(loaded, row)).read())
+            with open(instance_path(loaded, row)) as fh:
+                af = parse_apx(fh.read())
             assert af.k == row["k"]
             # any instance can be rebuilt from its manifest row alone
             assert af == generate(row["method"], row["k"], row["param"],
@@ -228,6 +229,7 @@ class TestBuildSuite:
         for instances, message in (
                 (None, "'instances' must be a list"),
                 ({"x": row}, "'instances' must be a list"),
+                ([], "'instances' is empty"),
                 ([row, "x"], r"instances\[1\] must be an object"),
                 ([{"id": "x"}], r"instances\[0\] has no 'path' of type str"),
                 ([row, dict(row, id=3)],

@@ -74,6 +74,10 @@ class TestBasics:
         s.add_clause([-3, 4])
         model = s.solve()
         assert model[1:] == [True] * 4
+        # the model belongs to the caller: overwriting it changes no answer
+        model[:] = [not b for b in model]
+        assert s.solve() == s.solve([2, 3]) == [False] + [True] * 4
+        assert s.solve([-4]) is None
 
     def test_contradiction(self):
         s = Solver(1)
@@ -196,8 +200,9 @@ class TestAgainstTruthTable:
                 model = s.solve([v if rng.random() < 0.5 else -v for v in
                                  rng.sample(range(1, num_vars + 1),
                                             rng.randint(0, 3))])
+                assigned = set(map(abs, s._trail))
                 unassigned = [v for v in range(1, num_vars + 1)
-                              if s._val[v + num_vars] is None]
+                              if v not in assigned]
                 if unassigned:
                     want = min(unassigned,
                                key=lambda v: (-s._activity[v], v))
